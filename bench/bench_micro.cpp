@@ -5,6 +5,7 @@
 // hyper-parameter retunes. Results are also written to BENCH_micro.json
 // (per-size timings plus fit/extend speedup ratios) for cross-PR tracking.
 
+#include <cstdint>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -24,6 +25,7 @@
 #include "opt/kernel.hpp"
 #include "opt/matrix.hpp"
 #include "perf/predictor.hpp"
+#include "sim/fault.hpp"
 #include "sim/system.hpp"
 
 namespace {
@@ -473,6 +475,46 @@ void BM_SimFaulty(benchmark::State& state) {
 }
 BENCHMARK(BM_SimFaulty)->Arg(0)->Arg(1);
 
+// ---- Fault queries over a long horizon ---------------------------------------
+// BM_SimFaulty simulates 20 s, too short for per-query cost to depend on
+// where in the schedule a query lands. BM_FaultQuery/<hour> asks the three
+// per-request queries (link factor, cloud reachability, edge slowdown) at
+// 1024 instants spread over one hour of a 24 h schedule with the rates of
+// the `serve_events_12h` benchmark workload. The BENCH_micro.json
+// "FaultQueryLastVsFirstHour" row is the hour-11 / hour-0 time ratio: ~1
+// when query cost is independent of t.
+
+void BM_FaultQuery(benchmark::State& state) {
+  const double hour_s = 3600.0;
+  sim::FaultScheduleConfig config;
+  config.seed = 1;
+  config.horizon_s = 24.0 * hour_s;
+  config.link_outage_rate_hz = 1.0 / 40.0;
+  config.link_outage_mean_s = 5.0;
+  config.cloud_outage_rate_hz = 1.0 / 60.0;
+  config.cloud_outage_mean_s = 8.0;
+  config.rtt_spike_rate_hz = 1.0 / 50.0;
+  config.edge_slowdown_rate_hz = 1.0 / 80.0;
+  config.machine_failure_rate_hz = 1.0 / 90.0;
+  config.brownout_rate_hz = 1.0 / 70.0;
+  const sim::FaultInjector faults(sim::FaultSchedule::generate(config));
+  std::vector<double> times(1024);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> within(0.0, hour_s);
+  const double from_s = static_cast<double>(state.range(0)) * hour_s;
+  for (double& t : times) t = from_s + within(rng);
+  for (auto _ : state) {
+    double sink = 0.0;
+    for (double t : times) {
+      sink += faults.link_factor(t) + faults.edge_slowdown(t) +
+              (faults.cloud_unavailable(t) ? 1.0 : 0.0);
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(3 * times.size()));
+}
+BENCHMARK(BM_FaultQuery)->Arg(0)->Arg(11);
+
 // ---- JSON output -------------------------------------------------------------
 
 /// Console reporter that additionally collects per-run adjusted real times
@@ -558,6 +600,14 @@ int main(int argc, char** argv) {
     const double faulty = reporter.time_of("BM_SimFaulty/1");
     if (clean > 0.0 && faulty > 0.0) {
       json.add("SimFaultyVsClean", {{"overhead", faulty / clean}});
+    }
+  }
+  // Fault-query cost late vs early in a long schedule.
+  {
+    const double first = reporter.time_of("BM_FaultQuery/0");
+    const double last = reporter.time_of("BM_FaultQuery/11");
+    if (first > 0.0 && last > 0.0) {
+      json.add("FaultQueryLastVsFirstHour", {{"ratio", last / first}});
     }
   }
   json.write("BENCH_micro.json");

@@ -116,7 +116,8 @@ struct Rig {
         perf::RooflinePredictor::train(sim, {.samples_per_kind = 400, .seed = 11});
     const comm::WirelessTechnology tech = parse_tech(args.get("tech", "wifi"));
     comm::CommModel comm(tech, args.get_double("rtt", 5.0));
-    Rig rig{std::move(sim), std::move(predictor), comm, technology_name(tech)};
+    Rig rig{std::move(sim), std::move(predictor), comm, technology_name(tech),
+            /*tiers=*/2, /*fog_predictor=*/nullptr, /*fog_name=*/{}, /*hop_tu=*/{}};
 
     const int tiers = args.get_int("tiers", 2);
     if (tiers == 1) {

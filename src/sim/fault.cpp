@@ -6,6 +6,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "par/substream.hpp"
 
@@ -231,115 +232,157 @@ std::size_t FaultSchedule::count(FaultClass fault) const {
   return n;
 }
 
-FaultInjector::FaultInjector(FaultSchedule schedule) : schedule_(std::move(schedule)) {
-  for (const FaultEpisode& e : schedule_.episodes()) {
-    by_class_[static_cast<std::size_t>(e.fault)].push_back(e);
+namespace {
+
+/// The classes whose episodes degrade one network hop; every other class
+/// ignores FaultEpisode::hop.
+bool hop_scoped(FaultClass fault) {
+  return fault == FaultClass::kLinkOutage || fault == FaultClass::kRttSpike ||
+         fault == FaultClass::kBackhaulBrownout || fault == FaultClass::kBackhaulOutage;
+}
+
+/// Query answer while no episode of the class covers t.
+double healthy_value(FaultClass fault) {
+  switch (fault) {
+    case FaultClass::kLinkOutage:
+    case FaultClass::kEdgeSlowdown:
+    case FaultClass::kRegionalBrownout:
+    case FaultClass::kBackhaulBrownout:
+      return 1.0;
+    default:
+      return 0.0;
   }
 }
 
-const std::vector<FaultEpisode>& FaultInjector::of(FaultClass fault) const {
-  return by_class_[static_cast<std::size_t>(fault)];
+/// Deepest-wins fold of one covering episode into a segment's value; the
+/// outage classes fold to 1 (unavailable).
+double fold(FaultClass fault, double value, double magnitude) {
+  switch (fault) {
+    case FaultClass::kLinkOutage:
+      return std::min(value, magnitude);
+    case FaultClass::kRegionalBrownout:
+    case FaultClass::kBackhaulBrownout:
+      return std::min(value, 1.0 - magnitude);
+    case FaultClass::kCloudOutage:
+    case FaultClass::kBackhaulOutage:
+      return 1.0;
+    default:
+      return std::max(value, magnitude);
+  }
+}
+
+}  // namespace
+
+FaultInjector::FaultInjector(FaultSchedule schedule) : schedule_(std::move(schedule)) {
+  // Group the episodes by (class, hop key), then fold each group into its
+  // table: every episode covers the segments from its start edge up to its
+  // end edge.
+  const auto key = [](const FaultEpisode& e) {
+    return std::make_pair(static_cast<std::size_t>(e.fault), hop_scoped(e.fault) ? e.hop : 0);
+  };
+  std::vector<const FaultEpisode*> order;
+  order.reserve(schedule_.episodes().size());
+  for (const FaultEpisode& e : schedule_.episodes()) order.push_back(&e);
+  std::sort(order.begin(), order.end(), [&](const FaultEpisode* a, const FaultEpisode* b) {
+    return key(*a) < key(*b);
+  });
+  for (auto group = order.begin(); group != order.end();) {
+    const auto [fault_index, hop] = key(**group);
+    const auto group_end = std::find_if(group, order.end(), [&](const FaultEpisode* e) {
+      return key(*e) != key(**group);
+    });
+    const FaultClass fault = static_cast<FaultClass>(fault_index);
+    StepTable table;
+    for (auto it = group; it != group_end; ++it) {
+      table.edges.push_back((*it)->start_s);
+      table.edges.push_back((*it)->end_s);
+    }
+    std::sort(table.edges.begin(), table.edges.end());
+    table.edges.erase(std::unique(table.edges.begin(), table.edges.end()), table.edges.end());
+    table.values.assign(table.edges.size() + 1, healthy_value(fault));
+    for (auto it = group; it != group_end; ++it) {
+      const auto first = std::lower_bound(table.edges.begin(), table.edges.end(), (*it)->start_s);
+      const auto last = std::lower_bound(first, table.edges.end(), (*it)->end_s);
+      for (auto i = static_cast<std::size_t>(first - table.edges.begin()) + 1;
+           i <= static_cast<std::size_t>(last - table.edges.begin()); ++i) {
+        table.values[i] = fold(fault, table.values[i], (*it)->magnitude);
+      }
+    }
+    tables_[fault_index].emplace_back(hop, std::move(table));
+    group = group_end;
+  }
+}
+
+std::size_t FaultInjector::StepTable::segment(double t_s) const {
+  return static_cast<std::size_t>(std::upper_bound(edges.begin(), edges.end(), t_s) -
+                                  edges.begin());
+}
+
+const FaultInjector::StepTable* FaultInjector::table(FaultClass fault, std::size_t hop) const {
+  const auto& tables = tables_[static_cast<std::size_t>(fault)];
+  const auto it = std::lower_bound(
+      tables.begin(), tables.end(), hop,
+      [](const std::pair<std::size_t, StepTable>& entry, std::size_t h) { return entry.first < h; });
+  return it != tables.end() && it->first == hop ? &it->second : nullptr;
+}
+
+double FaultInjector::value(FaultClass fault, double t_s, std::size_t hop) const {
+  const StepTable* steps = table(fault, hop);
+  return steps == nullptr ? healthy_value(fault) : steps->values[steps->segment(t_s)];
 }
 
 double FaultInjector::link_factor(double t_s, std::size_t hop) const {
-  double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
-    if (e.start_s > t_s) break;  // start-sorted: nothing later can cover t
-    if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, e.magnitude);
-  }
-  return factor;
+  return value(FaultClass::kLinkOutage, t_s, hop);
 }
 
 bool FaultInjector::cloud_unavailable(double t_s) const {
-  for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
-    if (e.start_s > t_s) break;
-    if (e.covers(t_s)) return true;
-  }
-  return false;
+  return value(FaultClass::kCloudOutage, t_s, 0) != 0.0;
 }
 
 double FaultInjector::cloud_recovery_time(double t_s) const {
-  double t = t_s;
-  // Chained windows: recovering into another outage keeps pushing forward.
-  for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
-    if (e.covers(t)) t = e.end_s;
-  }
-  return t;
+  const StepTable* steps = table(FaultClass::kCloudOutage, 0);
+  if (steps == nullptr) return t_s;
+  std::size_t i = steps->segment(t_s);
+  if (steps->values[i] == 0.0) return t_s;
+  // Chained windows: walk forward to the first healthy segment, which
+  // begins where the covered run containing t_s ends.
+  while (steps->values[i] != 0.0) ++i;
+  return steps->edges[i - 1];
 }
 
 double FaultInjector::rtt_extra_ms(double t_s, std::size_t hop) const {
-  double extra = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kRttSpike)) {
-    if (e.start_s > t_s) break;
-    if (e.hop == hop && e.covers(t_s)) extra = std::max(extra, e.magnitude);
-  }
-  return extra;
+  return value(FaultClass::kRttSpike, t_s, hop);
 }
 
 double FaultInjector::edge_slowdown(double t_s) const {
-  double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kEdgeSlowdown)) {
-    if (e.start_s > t_s) break;
-    if (e.covers(t_s)) factor = std::max(factor, e.magnitude);
-  }
-  return factor;
+  return value(FaultClass::kEdgeSlowdown, t_s, 0);
 }
 
 double FaultInjector::machine_failure_fraction(double t_s) const {
-  double fraction = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kMachineFailure)) {
-    if (e.start_s > t_s) break;
-    if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
-  }
-  return fraction;
+  return value(FaultClass::kMachineFailure, t_s, 0);
 }
 
 double FaultInjector::brownout_factor(double t_s) const {
-  double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kRegionalBrownout)) {
-    if (e.start_s > t_s) break;
-    if (e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
-  }
-  return factor;
+  return value(FaultClass::kRegionalBrownout, t_s, 0);
 }
 
 double FaultInjector::backhaul_factor(double t_s, std::size_t hop) const {
-  double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kBackhaulBrownout)) {
-    if (e.start_s > t_s) break;
-    if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
-  }
-  return factor;
+  return value(FaultClass::kBackhaulBrownout, t_s, hop);
 }
 
 bool FaultInjector::backhaul_unavailable(double t_s, std::size_t hop) const {
-  for (const FaultEpisode& e : of(FaultClass::kBackhaulOutage)) {
-    if (e.start_s > t_s) break;
-    if (e.hop == hop && e.covers(t_s)) return true;
-  }
-  return false;
+  return value(FaultClass::kBackhaulOutage, t_s, hop) != 0.0;
 }
 
 double FaultInjector::fog_failure_fraction(double t_s) const {
-  double fraction = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kFogSiteFailure)) {
-    if (e.start_s > t_s) break;
-    if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
-  }
-  return fraction;
+  return value(FaultClass::kFogSiteFailure, t_s, 0);
 }
 
 double FaultInjector::next_link_boundary(double t_s, std::size_t hop) const {
-  double next = kInf;
-  for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
-    if (e.hop != hop) continue;
-    if (e.start_s > t_s) {
-      next = std::min(next, e.start_s);
-      break;  // starts are sorted; later episodes begin even later
-    }
-    if (e.end_s > t_s) next = std::min(next, e.end_s);
-  }
-  return next;
+  const StepTable* steps = table(FaultClass::kLinkOutage, hop);
+  if (steps == nullptr) return kInf;
+  const std::size_t i = steps->segment(t_s);
+  return i < steps->edges.size() ? steps->edges[i] : kInf;
 }
 
 double FaultInjector::degraded_time(double horizon_s) const {

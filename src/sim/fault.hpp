@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lens::sim {
@@ -203,8 +204,11 @@ class FaultSchedule {
   std::vector<FaultEpisode> episodes_;
 };
 
-/// Point-in-time query engine over a FaultSchedule. All queries are O(per-
-/// class episodes) worst case and const — safe to share across readers.
+/// Point-in-time query engine over a FaultSchedule. The constructor folds
+/// the episodes of every (class, hop) into a piecewise-constant step table,
+/// so every query is one binary search: O(log episodes), independent of how
+/// far into the schedule `t_s` lies. Queries are const — safe to share
+/// across readers.
 class FaultInjector {
  public:
   FaultInjector() = default;  ///< empty schedule: always healthy
@@ -245,12 +249,28 @@ class FaultInjector {
   const FaultSchedule& schedule() const { return schedule_; }
 
  private:
-  const std::vector<FaultEpisode>& of(FaultClass fault) const;
+  /// The answer of one (class, hop) as a step function of time. `edges` are
+  /// the sorted, de-duplicated starts and ends of its episodes — every one
+  /// of them, even where the value does not change, so the first edge past
+  /// t is exactly the next episode boundary. values[i + 1] holds over
+  /// [edges[i], edges[i + 1]); values[0] (before the first edge) and
+  /// values.back() (from the last edge on) are the healthy value.
+  struct StepTable {
+    std::vector<double> edges;
+    std::vector<double> values;
+
+    /// Index into `values` of the segment containing t_s.
+    std::size_t segment(double t_s) const;
+  };
+
+  /// The table of (fault, hop), or nullptr when no such episode exists.
+  /// Hop-free classes keep one table under hop 0.
+  const StepTable* table(FaultClass fault, std::size_t hop) const;
+  double value(FaultClass fault, double t_s, std::size_t hop) const;
 
   FaultSchedule schedule_;
-  /// Episodes partitioned by class, start-sorted (indices into nothing —
-  /// copies; schedules are tiny next to the request stream).
-  std::vector<FaultEpisode> by_class_[kNumFaultClasses];
+  /// Per class: (hop, table) pairs sorted by hop, one per hop that occurs.
+  std::vector<std::pair<std::size_t, StepTable>> tables_[kNumFaultClasses];
 };
 
 }  // namespace lens::sim

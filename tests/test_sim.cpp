@@ -1,9 +1,15 @@
 // Tests for the discrete-event edge-cloud simulator.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <random>
 
 #include <gtest/gtest.h>
 
+#include "core/topology.hpp"
 #include "dnn/presets.hpp"
 #include "par/runtime.hpp"
 #include "perf/predictor.hpp"
@@ -492,6 +498,188 @@ TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {
   EXPECT_DOUBLE_EQ(healthy.degraded_time(100.0), 0.0);
 }
 
+// ---- step tables vs brute force ---------------------------------------------
+
+/// Brute-force fault queries: every answer recomputed from the whole episode
+/// list, straight from the fault model's definitions.
+struct ScanOracle {
+  const std::vector<FaultEpisode>& episodes;
+
+  /// Deepest-wins fold over the episodes of `fault` covering t — only those
+  /// on `hop` when one is given (the hop-scoped classes).
+  template <class Deeper>
+  double fold(FaultClass fault, std::optional<std::size_t> hop, double t, double healthy,
+              Deeper deeper) const {
+    double value = healthy;
+    for (const FaultEpisode& e : episodes) {
+      if (e.fault == fault && (!hop || e.hop == *hop) && e.covers(t)) {
+        value = deeper(value, e.magnitude);
+      }
+    }
+    return value;
+  }
+  static double lower(double v, double m) { return std::min(v, m); }
+  static double higher(double v, double m) { return std::max(v, m); }
+  static double cut(double v, double m) { return std::min(v, 1.0 - m); }
+  static double down(double, double) { return 1.0; }
+
+  double link_factor(double t, std::size_t hop) const {
+    return fold(FaultClass::kLinkOutage, hop, t, 1.0, lower);
+  }
+  bool cloud_unavailable(double t) const {
+    return fold(FaultClass::kCloudOutage, std::nullopt, t, 0.0, down) != 0.0;
+  }
+  double rtt_extra_ms(double t, std::size_t hop) const {
+    return fold(FaultClass::kRttSpike, hop, t, 0.0, higher);
+  }
+  double edge_slowdown(double t) const {
+    return fold(FaultClass::kEdgeSlowdown, std::nullopt, t, 1.0, higher);
+  }
+  double machine_failure_fraction(double t) const {
+    return fold(FaultClass::kMachineFailure, std::nullopt, t, 0.0, higher);
+  }
+  double brownout_factor(double t) const {
+    return fold(FaultClass::kRegionalBrownout, std::nullopt, t, 1.0, cut);
+  }
+  double backhaul_factor(double t, std::size_t hop) const {
+    return fold(FaultClass::kBackhaulBrownout, hop, t, 1.0, cut);
+  }
+  bool backhaul_unavailable(double t, std::size_t hop) const {
+    return fold(FaultClass::kBackhaulOutage, hop, t, 0.0, down) != 0.0;
+  }
+  double fog_failure_fraction(double t) const {
+    return fold(FaultClass::kFogSiteFailure, std::nullopt, t, 0.0, higher);
+  }
+  /// Smallest episode start or end of the hop's link outages past t.
+  double next_link_boundary(double t, std::size_t hop) const {
+    double next = std::numeric_limits<double>::infinity();
+    for (const FaultEpisode& e : episodes) {
+      if (e.fault != FaultClass::kLinkOutage || e.hop != hop) continue;
+      if (e.start_s > t) next = std::min(next, e.start_s);
+      if (e.end_s > t) next = std::min(next, e.end_s);
+    }
+    return next;
+  }
+  /// Fixpoint of "jump to the end of any cloud outage covering t".
+  double cloud_recovery_time(double t) const {
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (const FaultEpisode& e : episodes) {
+        if (e.fault == FaultClass::kCloudOutage && e.covers(t)) {
+          t = e.end_s;
+          moved = true;
+        }
+      }
+    }
+    return t;
+  }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Seeded schedule of all nine classes: episodes on a 0.25 s grid (so many
+/// touch end-to-start, nest, or share edges) mixed with off-grid ones, on
+/// hops 0-3 — hop-free classes too, which must ignore the hop — plus
+/// scripted episodes on hop SIZE_MAX.
+FaultSchedule random_schedule(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> grid(0, 160);
+  std::uniform_int_distribution<int> span(1, 24);
+  std::uniform_int_distribution<std::size_t> any_hop(0, 3);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<FaultEpisode> episodes;
+  for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
+    const auto fault = static_cast<FaultClass>(c);
+    const bool backhaul =
+        fault == FaultClass::kBackhaulBrownout || fault == FaultClass::kBackhaulOutage;
+    for (int k = 0; k < 40; ++k) {
+      FaultEpisode e;
+      e.fault = fault;
+      if (k % 4 == 3) {
+        e.start_s = 40.0 * unit(rng);
+        e.end_s = e.start_s + 6.0 * unit(rng) + 1e-3;
+      } else {
+        e.start_s = 0.25 * grid(rng);
+        e.end_s = e.start_s + 0.25 * span(rng);
+      }
+      e.hop = backhaul ? 1 + any_hop(rng) % 3 : any_hop(rng);
+      // Magnitudes from a small set so equal depths overlap too.
+      const double level = 0.125 * static_cast<double>(1 + k % 7);  // (0, 1)
+      switch (fault) {
+        case FaultClass::kRttSpike: e.magnitude = 100.0 * level; break;
+        case FaultClass::kEdgeSlowdown: e.magnitude = 1.0 + 4.0 * level; break;
+        case FaultClass::kMachineFailure:
+        case FaultClass::kRegionalBrownout:
+        case FaultClass::kLinkOutage:
+        case FaultClass::kFogSiteFailure: e.magnitude = k % 9 == 0 ? 1.0 : level; break;
+        default: e.magnitude = level; break;
+      }
+      episodes.push_back(e);
+    }
+  }
+  constexpr std::size_t kHugeHop = std::numeric_limits<std::size_t>::max();
+  episodes.push_back({FaultClass::kLinkOutage, 3.0, 9.0, 0.4, kHugeHop});
+  episodes.push_back({FaultClass::kLinkOutage, 9.0, 12.5, 0.7, kHugeHop});
+  episodes.push_back({FaultClass::kRttSpike, 2.0, 30.0, 75.0, kHugeHop});
+  episodes.push_back({FaultClass::kBackhaulOutage, 5.0, 6.0, 0.0, kHugeHop});
+  episodes.push_back({FaultClass::kCloudOutage, 1.0, 2.0, 0.0, kHugeHop});
+  return FaultSchedule(std::move(episodes));
+}
+
+TEST(FaultInjector, StepTablesMatchBruteForceScan) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kHugeHop = std::numeric_limits<std::size_t>::max();
+  const std::size_t hops[] = {0, 1, 2, 3, 4, kHugeHop - 1, kHugeHop};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const FaultSchedule schedule = random_schedule(seed);
+    const FaultInjector injector(schedule);
+    const ScanOracle oracle{schedule.episodes()};
+
+    // Every edge, both float neighbours of it, before the first episode and
+    // past the horizon.
+    std::vector<double> times = {-1.0, 0.0, 1e6, kInf, -kInf};
+    for (const FaultEpisode& e : schedule.episodes()) {
+      for (double edge : {e.start_s, e.end_s}) {
+        times.push_back(edge);
+        times.push_back(std::nextafter(edge, -kInf));
+        times.push_back(std::nextafter(edge, kInf));
+      }
+    }
+    for (double t : times) {
+      EXPECT_EQ(injector.cloud_unavailable(t), oracle.cloud_unavailable(t)) << t;
+      EXPECT_EQ(bits(injector.cloud_recovery_time(t)), bits(oracle.cloud_recovery_time(t))) << t;
+      EXPECT_EQ(bits(injector.edge_slowdown(t)), bits(oracle.edge_slowdown(t))) << t;
+      EXPECT_EQ(bits(injector.machine_failure_fraction(t)),
+                bits(oracle.machine_failure_fraction(t)))
+          << t;
+      EXPECT_EQ(bits(injector.brownout_factor(t)), bits(oracle.brownout_factor(t))) << t;
+      EXPECT_EQ(bits(injector.fog_failure_fraction(t)), bits(oracle.fog_failure_fraction(t)))
+          << t;
+      for (std::size_t hop : hops) {
+        EXPECT_EQ(bits(injector.link_factor(t, hop)), bits(oracle.link_factor(t, hop)))
+            << t << " hop " << hop;
+        EXPECT_EQ(bits(injector.rtt_extra_ms(t, hop)), bits(oracle.rtt_extra_ms(t, hop)))
+            << t << " hop " << hop;
+        EXPECT_EQ(bits(injector.backhaul_factor(t, hop)), bits(oracle.backhaul_factor(t, hop)))
+            << t << " hop " << hop;
+        EXPECT_EQ(injector.backhaul_unavailable(t, hop), oracle.backhaul_unavailable(t, hop))
+            << t << " hop " << hop;
+        EXPECT_EQ(bits(injector.next_link_boundary(t, hop)),
+                  bits(oracle.next_link_boundary(t, hop)))
+            << t << " hop " << hop;
+      }
+      if (::testing::Test::HasFailure()) return;  // one failing instant is enough
+    }
+  }
+  // The hop-SIZE_MAX episodes answer on their own hop only.
+  const FaultInjector injector(random_schedule(1));
+  EXPECT_EQ(injector.link_factor(4.0, kHugeHop), 0.4);
+  EXPECT_EQ(injector.next_link_boundary(4.0, kHugeHop), 9.0);
+  EXPECT_EQ(injector.next_link_boundary(9.0, kHugeHop), 12.5);
+  EXPECT_EQ(injector.next_link_boundary(12.5, kHugeHop), kInf);
+  EXPECT_TRUE(injector.backhaul_unavailable(5.5, kHugeHop));
+}
+
 TEST(Link, FadeIsIntegratedAcrossEpisodeBoundaries) {
   // Flat 8 Mbps with a half-depth fade over [1 s, 2 s): a 12e6-bit payload
   // carries 8e6 bits in [0,1), 4e6 bits in [1,2) -> done exactly at 2 s.
@@ -667,6 +855,272 @@ TEST_F(SystemTest, FaultyStatsAreBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.total_energy_mj, four.total_energy_mj);      // bitwise
   EXPECT_EQ(one.p99_latency_ms, four.p99_latency_ms);        // bitwise
   EXPECT_EQ(one.degraded_time_s, four.degraded_time_s);      // bitwise
+}
+
+// ---- frozen end-to-end pin --------------------------------------------------
+//
+// Multi-hour runs under every fault class the event loop consults, a finite
+// cloud, retry jitter and a circuit breaker, over a trace whose rate changes
+// every 7 s (so transfers integrate across trace and fade edges). The
+// expected SimStats were captured from the linear-scan FaultInjector; any
+// change to fault queries, link integration or the event loop that moves a
+// single bit shows up here.
+
+SimConfig frozen_pin_config(DispatchPolicy policy, std::size_t fixed_option) {
+  SimConfig config;
+  config.duration_s = 3 * 3600.0;
+  config.arrival_rate_hz = 2.0;
+  config.seed = 7;
+  config.policy = policy;
+  config.fixed_option = fixed_option;
+  config.deadline_ms = 150.0;
+  config.timeout_ms = 500.0;
+  config.max_retries = 2;
+  config.retry_jitter = 0.5;
+  config.breaker_failures = 3;
+  config.faults.seed = 7;
+  config.faults.link_outage_rate_hz = 1.0 / 40.0;
+  config.faults.link_outage_mean_s = 5.0;
+  config.faults.cloud_outage_rate_hz = 1.0 / 60.0;
+  config.faults.cloud_outage_mean_s = 8.0;
+  config.faults.rtt_spike_rate_hz = 1.0 / 50.0;
+  config.faults.edge_slowdown_rate_hz = 1.0 / 80.0;
+  config.faults.machine_failure_rate_hz = 1.0 / 90.0;
+  config.faults.brownout_rate_hz = 1.0 / 70.0;
+  cloud::CloudConfig cloud;
+  cloud.machines = 2;
+  cloud.machine.capacity_ms_per_s = 100.0;
+  cloud.machine.queue_slots = 2;
+  config.cloud = cloud;
+  return config;
+}
+
+comm::ThroughputTrace frozen_pin_trace() {
+  comm::ThroughputTrace trace;
+  trace.samples_mbps = {30.0, 8.0, 60.0, 3.0, 20.0};
+  trace.interval_s = 7.0;
+  return trace;
+}
+
+/// Every SimStats field, compared bit for bit.
+void expect_same_stats(const SimStats& got, const SimStats& want, const char* what) {
+  EXPECT_EQ(got.completed, want.completed) << what;
+  EXPECT_EQ(got.mean_latency_ms, want.mean_latency_ms) << what;
+  EXPECT_EQ(got.p50_latency_ms, want.p50_latency_ms) << what;
+  EXPECT_EQ(got.p95_latency_ms, want.p95_latency_ms) << what;
+  EXPECT_EQ(got.p99_latency_ms, want.p99_latency_ms) << what;
+  EXPECT_EQ(got.max_latency_ms, want.max_latency_ms) << what;
+  EXPECT_EQ(got.total_energy_mj, want.total_energy_mj) << what;
+  EXPECT_EQ(got.energy_per_inference_mj, want.energy_per_inference_mj) << what;
+  EXPECT_EQ(got.edge_utilization, want.edge_utilization) << what;
+  EXPECT_EQ(got.link_utilization, want.link_utilization) << what;
+  EXPECT_EQ(got.makespan_s, want.makespan_s) << what;
+  EXPECT_EQ(got.throughput_hz, want.throughput_hz) << what;
+  EXPECT_EQ(got.deadline_violations, want.deadline_violations) << what;
+  EXPECT_EQ(got.violation_rate, want.violation_rate) << what;
+  EXPECT_EQ(got.timeouts, want.timeouts) << what;
+  EXPECT_EQ(got.retries, want.retries) << what;
+  EXPECT_EQ(got.fallback_executions, want.fallback_executions) << what;
+  EXPECT_EQ(got.dropped, want.dropped) << what;
+  EXPECT_EQ(got.availability, want.availability) << what;
+  EXPECT_EQ(got.goodput_hz, want.goodput_hz) << what;
+  EXPECT_EQ(got.degraded_time_s, want.degraded_time_s) << what;
+  EXPECT_EQ(got.degraded_fraction, want.degraded_fraction) << what;
+  EXPECT_EQ(got.link_outage_episodes, want.link_outage_episodes) << what;
+  EXPECT_EQ(got.cloud_outage_episodes, want.cloud_outage_episodes) << what;
+  EXPECT_EQ(got.rtt_spike_episodes, want.rtt_spike_episodes) << what;
+  EXPECT_EQ(got.edge_slowdown_episodes, want.edge_slowdown_episodes) << what;
+  EXPECT_EQ(got.machine_failure_episodes, want.machine_failure_episodes) << what;
+  EXPECT_EQ(got.brownout_episodes, want.brownout_episodes) << what;
+  EXPECT_EQ(got.shed, want.shed) << what;
+  EXPECT_EQ(got.breaker_trips, want.breaker_trips) << what;
+  EXPECT_EQ(got.breaker_open_time_s, want.breaker_open_time_s) << what;
+  EXPECT_EQ(got.datacenter_energy_j, want.datacenter_energy_j) << what;
+}
+
+TEST_F(SystemTest, FrozenMultiHourFaultyRunsAreBitIdentical) {
+  const std::size_t pinned = evaluator_.evaluate(alexnet_, 30.0).best_latency_option;
+  ASSERT_GT(evaluation_.options[pinned].tx_bytes, 0u);
+  EdgeCloudSystem dynamic(evaluation_.options, wifi_, frozen_pin_trace(),
+                          frozen_pin_config(DispatchPolicy::kDynamic, 0));
+  EdgeCloudSystem fixed(evaluation_.options, wifi_, frozen_pin_trace(),
+                        frozen_pin_config(DispatchPolicy::kFixed, pinned));
+  expect_same_stats(dynamic.run(),
+                    SimStats{
+      .completed = 21642,
+      .mean_latency_ms = 61.289466908082289,
+      .p50_latency_ms = 31.659835147365811,
+      .p95_latency_ms = 245.07040000025881,
+      .p99_latency_ms = 271.05915881475084,
+      .max_latency_ms = 2127.5541687271016,
+      .total_energy_mj = 6416858.2876187032,
+      .energy_per_inference_mj = 296.50024432209148,
+      .edge_utilization = 0.063889893175573129,
+      .link_utilization = 0.0098196108529919526,
+      .makespan_s = 10799.022100659664,
+      .throughput_hz = 2.0040703499141821,
+      .deadline_violations = 1458,
+      .violation_rate = 0.067369004713057942,
+      .timeouts = 16,
+      .retries = 12,
+      .fallback_executions = 11,
+      .dropped = 0,
+      .availability = 1,
+      .goodput_hz = 1.8690581250655141,
+      .degraded_time_s = 8708.6961157081296,
+      .degraded_fraction = 0.80643377099637148,
+      .link_outage_episodes = 469,
+      .cloud_outage_episodes = 308,
+      .rtt_spike_episodes = 352,
+      .edge_slowdown_episodes = 209,
+      .machine_failure_episodes = 143,
+      .brownout_episodes = 187,
+      .shed = 0,
+      .breaker_trips = 4,
+      .breaker_open_time_s = 46.695669487819487,
+      .datacenter_energy_j = 2074779.1991253372,
+                    },
+                    "dynamic+fallback");
+  expect_same_stats(fixed.run(),
+                    SimStats{
+      .completed = 21642,
+      .mean_latency_ms = 285.13593975988562,
+      .p50_latency_ms = 98.092758813436376,
+      .p95_latency_ms = 1296.4658911311005,
+      .p99_latency_ms = 3592.7415877990443,
+      .max_latency_ms = 6746.5791764186633,
+      .total_energy_mj = 6438422.6855427409,
+      .energy_per_inference_mj = 297.49665860561595,
+      .edge_utilization = 0.054023319355628881,
+      .link_utilization = 0.10838414461559116,
+      .makespan_s = 10799.023174218477,
+      .throughput_hz = 2.0040701506843677,
+      .deadline_violations = 7679,
+      .violation_rate = 0.35481933277885591,
+      .timeouts = 653,
+      .retries = 558,
+      .fallback_executions = 3112,
+      .dropped = 0,
+      .availability = 1,
+      .goodput_hz = 1.2929873169765189,
+      .degraded_time_s = 8708.6971892669426,
+      .degraded_fraction = 0.80643379023929074,
+      .link_outage_episodes = 469,
+      .cloud_outage_episodes = 308,
+      .rtt_spike_episodes = 352,
+      .edge_slowdown_episodes = 209,
+      .machine_failure_episodes = 143,
+      .brownout_episodes = 187,
+      .shed = 28,
+      .breaker_trips = 123,
+      .breaker_open_time_s = 1279.1137845669818,
+      .datacenter_energy_j = 2114126.903101509,
+                    },
+                    "fixed");
+
+  // Three tiers: the hop-1 backhaul carries its own fades and RTT spikes
+  // plus the regional backhaul brownout/outage classes. The dynamic policy
+  // walks the tier ladder; the fixed pin ships every payload over hop 1.
+  const perf::DeviceSimulator fog_sim(perf::datacenter_gpu());
+  const perf::SimulatorOracle fog(fog_sim);
+  core::EdgeFogCloudConfig topo;
+  topo.radio = wifi_;
+  topo.backhaul = comm::CommModel(comm::WirelessTechnology::kLte, 25.0);
+  const core::DeploymentEvaluator evaluator(core::edge_fog_cloud(oracle_, fog, nullptr, topo));
+  const core::DeploymentPlan plan = evaluator.compile(alexnet_);
+  SimConfig config = frozen_pin_config(DispatchPolicy::kDynamic, 0);
+  config.backhaul_tu_mbps = {40.0};
+  HopFaultConfig hop1;
+  hop1.outage_rate_hz = 1.0 / 45.0;
+  hop1.outage_mean_s = 6.0;
+  hop1.rtt_spike_rate_hz = 1.0 / 55.0;
+  config.faults.extra_hops = {hop1};
+  config.faults.backhaul_brownout_rate_hz = 1.0 / 100.0;
+  config.faults.backhaul_outage_rate_hz = 1.0 / 150.0;
+  config.faults.fog_failure_rate_hz = 1.0 / 200.0;
+  EdgeCloudSystem three_tier(plan, frozen_pin_trace(), config);
+  expect_same_stats(three_tier.run(),
+                    SimStats{
+      .completed = 21642,
+      .mean_latency_ms = 47.432763654977883,
+      .p50_latency_ms = 31.65983514668369,
+      .p95_latency_ms = 116.00580388408196,
+      .p99_latency_ms = 226.61659863933892,
+      .max_latency_ms = 479.84933027601073,
+      .total_energy_mj = 6564079.8644074872,
+      .energy_per_inference_mj = 303.30283081080711,
+      .edge_utilization = 0.068611560695688703,
+      .link_utilization = 0.0073739449861526347,
+      .makespan_s = 10798.983646858302,
+      .throughput_hz = 2.0040774861527093,
+      .deadline_violations = 925,
+      .violation_rate = 0.0427409666389428,
+      .timeouts = 0,
+      .retries = 0,
+      .fallback_executions = 0,
+      .dropped = 0,
+      .availability = 1,
+      .goodput_hz = 1.9184212771751998,
+      .degraded_time_s = 10295.114696714021,
+      .degraded_fraction = 0.95334107665855494,
+      .link_outage_episodes = 864,
+      .cloud_outage_episodes = 308,
+      .rtt_spike_episodes = 687,
+      .edge_slowdown_episodes = 209,
+      .machine_failure_episodes = 143,
+      .brownout_episodes = 187,
+      .shed = 0,
+      .breaker_trips = 0,
+      .breaker_open_time_s = 0,
+      .datacenter_energy_j = 2051806.8929030774,
+                    },
+                    "3-tier dynamic");
+
+  std::size_t via_backhaul = plan.num_options();
+  for (std::size_t i = 0; i < plan.num_options() && via_backhaul == plan.num_options(); ++i) {
+    const std::vector<std::uint64_t>& hops = plan.options()[i].hop_tx_bytes;
+    if (hops.size() > 1 && hops[1] > 0) via_backhaul = i;
+  }
+  ASSERT_LT(via_backhaul, plan.num_options());
+  config.policy = DispatchPolicy::kFixed;
+  config.fixed_option = via_backhaul;
+  EdgeCloudSystem three_tier_fixed(plan, frozen_pin_trace(), config);
+  expect_same_stats(three_tier_fixed.run(),
+                    SimStats{
+      .completed = 21642,
+      .mean_latency_ms = 822.47821458399994,
+      .p50_latency_ms = 345.33440000006976,
+      .p95_latency_ms = 3206.5252015242104,
+      .p99_latency_ms = 7131.753279068801,
+      .max_latency_ms = 12645.853764314779,
+      .total_energy_mj = 7877460.4628903512,
+      .energy_per_inference_mj = 363.98948631782417,
+      .edge_utilization = 0.011996584795709215,
+      .link_utilization = 0.28879361430204603,
+      .makespan_s = 10799.077206259664,
+      .throughput_hz = 2.004060123531227,
+      .deadline_violations = 17051,
+      .violation_rate = 0.78786618611958226,
+      .timeouts = 623,
+      .retries = 557,
+      .fallback_executions = 3164,
+      .dropped = 0,
+      .availability = 1,
+      .goodput_hz = 0.42512891725034019,
+      .degraded_time_s = 10295.208256115384,
+      .degraded_fraction = 0.95334148089503301,
+      .link_outage_episodes = 864,
+      .cloud_outage_episodes = 308,
+      .rtt_spike_episodes = 687,
+      .edge_slowdown_episodes = 209,
+      .machine_failure_episodes = 143,
+      .brownout_episodes = 187,
+      .shed = 52,
+      .breaker_trips = 118,
+      .breaker_open_time_s = 1290.4116057550154,
+      .datacenter_energy_j = 2113794.6691893344,
+                    },
+                    "3-tier fixed via backhaul");
 }
 
 TEST_F(SystemTest, Deterministic) {
