@@ -598,9 +598,7 @@ int cmd_fleet(const Args& args) {
         "(regional failure domains live on the K-tier hierarchy)");
   }
 
-  fleet::FleetEngine engine = rig.tiers == 2
-                                  ? fleet::FleetEngine(plan, config)
-                                  : fleet::FleetEngine(plan, rig.hop_tu, config);
+  fleet::FleetEngine engine(plan, rig.hop_tu, config);
   if (rig.tiers == 3) {
     std::printf(
         "(nominal backhaul %.1f Mbps; %zu region(s)%s; devices switch over the "
@@ -748,9 +746,7 @@ int cmd_cloud(const Args& args) {
   for (int p = 0; p < 2; ++p) {
     cloud.policy = policies[p];
     config.cloud = cloud;
-    fleet::FleetEngine engine = rig.tiers == 2
-                                    ? fleet::FleetEngine(plan, config)
-                                    : fleet::FleetEngine(plan, rig.hop_tu, config);
+    fleet::FleetEngine engine(plan, rig.hop_tu, config);
     by_policy[p] = engine.run();
     const fleet::FleetStats& stats = by_policy[p];
     std::printf("%-17s %7.2f %9.2f %9.2f %9.2f %9.2f %8.1f %11.1f\n",

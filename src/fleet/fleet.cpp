@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -138,7 +139,7 @@ struct OfferAccum {
   double job_ms_sum = 0.0;     // their summed suffix cost (layer-ms)
 };
 
-/// Device flags of the regional K-tier step (dev_flags SoA array).
+/// Device flags of the fog stage (dev_flags SoA array; fog runs only).
 constexpr std::uint8_t kFlagFogOffered = 1;   // offered its fog suffix
 constexpr std::uint8_t kFlagFogAdmitted = 2;  // fog pool admitted it
 constexpr std::uint8_t kFlagFogShed = 4;      // fog shed it AND it degraded
@@ -204,6 +205,63 @@ std::optional<std::uint32_t> cheapest_edge_only(
     }
   }
   return best;
+}
+
+/// Step-based circuit breaker of one device on one hop; the fleet keeps one
+/// per device for the central cloud and one for its region's fog site.
+/// `until` is 0 while closed, else the step at which it probes half-open.
+bool breaker_open(std::uint32_t until, std::size_t s) {
+  return until > 0 && s < static_cast<std::size_t>(until);
+}
+
+/// Feeds the outcome of one offer at step `s` through a breaker. An admit
+/// (a half-open probe included) closes it. A shed extends the failure
+/// streak; the breaker_failures-th consecutive shed, or a failed probe,
+/// holds it open until s + 1 + breaker_open_steps plus a jitter of
+/// 0..breaker_jitter_steps drawn from the device's priority hash `key`.
+/// Returns true when a closed breaker trips open.
+bool breaker_record(const FleetConfig& config, bool admitted, std::uint64_t key,
+                    std::size_t s, std::uint32_t& streak, std::uint32_t& until) {
+  if (admitted) {
+    streak = 0;
+    until = 0;
+    return false;
+  }
+  const bool probing = until > 0;  // an open breaker only offers as a probe
+  if (probing || ++streak >= config.breaker_failures) {
+    const auto jitter = static_cast<std::size_t>(
+        key % static_cast<std::uint64_t>(config.breaker_jitter_steps + 1));
+    until = static_cast<std::uint32_t>(s + 1 + config.breaker_open_steps + jitter);
+    if (!probing) {
+      streak = 0;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The hop vector of a two-tier plan: one radio-axis entry, never read.
+std::vector<double> radio_only_hops(const core::DeploymentPlan& plan) {
+  if (plan.num_hops() > 1) {
+    throw std::invalid_argument("FleetEngine: K-tier plan needs the per-hop ctor");
+  }
+  return {0.0};
+}
+
+/// Devices priced per price_batch_into call by the two-tier oracle.
+constexpr std::size_t kOracleBlock = 256;
+
+/// Per-device admission priority hashes substream_seed(root, device): a
+/// fixed key per device, so shedding follows a stable deterministic order
+/// (the same devices yield first every step, at any sharding or threads).
+std::vector<std::uint64_t> priority_keys(par::ThreadPool& pool, std::size_t n,
+                                         std::size_t chunks, std::uint64_t root) {
+  std::vector<std::uint64_t> keys(n);
+  par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
+    const auto [begin, end] = par::chunk_range(n, chunks, c);
+    for (std::size_t i = begin; i < end; ++i) keys[i] = par::substream_seed(root, i);
+  });
+  return keys;
 }
 
 /// Admission threshold on the top 32 bits of a device's priority hash:
@@ -326,10 +384,8 @@ void FleetEngine::validate() const {
   if (config_.sla_ms < 0.0) {
     throw std::invalid_argument("FleetEngine: sla_ms must be >= 0");
   }
-  if (config_.cloud.has_value()) {
-    cloud::MachinePool validate_pool(*config_.cloud);  // throws on bad knobs
-    (void)validate_pool;
-  }
+  // Building a pool throws on bad knobs.
+  if (config_.cloud.has_value()) (void)cloud::MachinePool(*config_.cloud);
   if (config_.num_regions == 0) {
     throw std::invalid_argument("FleetEngine: num_regions must be >= 1");
   }
@@ -340,7 +396,7 @@ void FleetEngine::validate() const {
       config_.num_regions > 1 || !config_.region_map.empty() ||
       !config_.region_episodes.empty() || config_.fog.has_value() ||
       config_.region_faults.any_enabled();
-  if (two_tier_ && regional_knobs) {
+  if (plan_.num_hops() == 1 && regional_knobs) {
     throw std::invalid_argument(
         "FleetEngine: regional failure domains need a K-tier plan "
         "(use the per-hop ctor with a 3+-tier plan)");
@@ -362,30 +418,15 @@ void FleetEngine::validate() const {
           "FleetEngine: region_episodes entry targets a region out of range");
     }
   }
-  if (config_.fog.has_value()) {
-    cloud::MachinePool validate_fog(*config_.fog);  // throws on bad knobs
-    (void)validate_fog;
-  }
+  if (config_.fog.has_value()) (void)cloud::MachinePool(*config_.fog);
 }
 
 FleetEngine::FleetEngine(const core::DeploymentPlan& plan, FleetConfig config)
-    : plan_(plan), config_(std::move(config)) {
-  if (plan_.num_hops() > 1) {
-    throw std::invalid_argument("FleetEngine: K-tier plan needs the per-hop ctor");
-  }
-  latency_curves_ = plan_.latency_curves();
-  energy_curves_ = plan_.energy_curves();
-  two_tier_ = true;
-  validate();
-  const auto& sel = config_.metric == runtime::OptimizeFor::kLatency ? latency_curves_
-                                                                     : energy_curves_;
-  intervals_ = runtime::dominance_intervals(sel, config_.tu_min, config_.tu_max);
-  fallback_option_ = cheapest_edge_only(plan_.options(), sel);
-}
+    : FleetEngine(plan, radio_only_hops(plan), std::move(config)) {}
 
 FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
                          const std::vector<double>& hop_tu_mbps, FleetConfig config)
-    : plan_(plan), config_(std::move(config)), two_tier_(plan.num_hops() <= 1) {
+    : plan_(plan), config_(std::move(config)) {
   if (hop_tu_mbps.size() != plan_.num_hops()) {
     throw std::invalid_argument(
         "FleetEngine: hop_tu_mbps needs one entry per hop (radio first): plan has " +
@@ -400,6 +441,8 @@ FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
     }
   }
   hop_tu_ = hop_tu_mbps;
+  // At K=2 the collapse returns the plan's own curves exactly: there is no
+  // other hop to pin.
   latency_curves_ = plan_.collapsed_latency_curves(0, hop_tu_mbps);
   energy_curves_ = plan_.collapsed_energy_curves(0, hop_tu_mbps);
   validate();
@@ -407,7 +450,7 @@ FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
                                                                      : energy_curves_;
   intervals_ = runtime::dominance_intervals(sel, config_.tu_min, config_.tu_max);
   fallback_option_ = cheapest_edge_only(plan_.options(), sel);
-  if (!two_tier_) build_ladder_tables();
+  build_ladder_tables();
 }
 
 void FleetEngine::build_ladder_tables() {
@@ -488,7 +531,9 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
   std::vector<std::uint32_t> option(n, 0);
   std::vector<std::uint32_t> prev(n, 0);
   std::vector<std::uint32_t> switch_count(n, 0);
-  std::vector<core::PricedObjectives> priced(two_tier_ ? n : 0);
+  // The tier-ladder resolution of the hysteresis selection: the option the
+  // device actually serves this step, before cloud admission.
+  std::vector<std::uint32_t> eff_opt(n, 0);
 
   // Every device boots on the option that wins at the configured trace
   // mean — the deployment a fleet operator would stage before telemetry.
@@ -514,21 +559,11 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
   if (cloud_on) cloud_sched.emplace(*config_.cloud);
   const bool breaker_on = cloud_on && config_.breaker_failures > 0 &&
                           fallback_option_.has_value();
-  // Per-device admission priority hash: a fixed key per (seed, device), so
-  // shedding follows a stable deterministic priority order — the same
-  // devices yield first every step, independent of sharding or threads.
   std::vector<std::uint64_t> admit_key;
   std::vector<std::uint32_t> fail_streak;
   std::vector<std::uint32_t> breaker_until;  // 0 = closed; else probe step
   if (cloud_on) {
-    admit_key.resize(n);
-    const std::uint64_t root = par::substream_seed(config_.seed, 0xc10d);
-    par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
-      const auto [begin, end] = par::chunk_range(n, chunks, c);
-      for (std::size_t i = begin; i < end; ++i) {
-        admit_key[i] = par::substream_seed(root, i);
-      }
-    });
+    admit_key = priority_keys(pool, n, chunks, par::substream_seed(config_.seed, 0xc10d));
     if (breaker_on) {
       fail_streak.assign(n, 0);
       breaker_until.assign(n, 0);
@@ -545,78 +580,65 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
     dc_faults = sim::FaultInjector(sim::FaultSchedule::generate(dc_cfg));
   }
 
-  // --- regional failure domains (K-tier path only) ----------------------
-  // Every K-tier run flows through the regional machinery with R >= 1; a
-  // healthy region prices on the EXACT nominal collapsed curves (pointer,
-  // not copy), so a no-fault run is bit-identical to the retired
-  // pinned-backhaul shortcut by construction.
+  // --- regional failure domains -----------------------------------------
+  // Every run flows through the regional machinery with R >= 1 (a two-tier
+  // plan: R = 1, one hop, no fog). A healthy region prices on the EXACT
+  // nominal collapsed curves (pointer, not copy), so a no-fault run is
+  // bit-identical to the retired pinned-backhaul shortcut by construction.
   const std::size_t num_hops = plan_.num_hops();
-  const bool regional = !two_tier_;
-  const std::size_t R = regional ? config_.num_regions : 0;
-  const bool fog_on = regional && config_.fog.has_value();
+  const std::size_t R = config_.num_regions;
+  const bool fog_on = config_.fog.has_value();  // validate(): K-tier plans only
   std::optional<cloud::CloudScheduler> fog_sched;
   if (fog_on) fog_sched.emplace(*config_.fog);
   // The fog breaker needs a rung to fast-fail onto (cloud-direct or the
   // edge fallback), mirroring the cloud breaker's fallback requirement.
   const bool fog_breaker_on = fog_on && config_.breaker_failures > 0 &&
                               (fallback_option_.has_value() || cloud_direct_ >= 0);
-  std::vector<std::uint32_t> region_of;
+  std::vector<std::uint32_t> region_of(n);
   std::vector<sim::FaultInjector> region_inj(R);
-  std::vector<std::uint32_t> eff_opt, offered_opt;
-  std::vector<std::uint8_t> dev_flags;
+  std::vector<std::uint32_t> offered_opt;  // fog runs: the option offered to fog
+  std::vector<std::uint8_t> dev_flags;     // fog runs: kFlagFog* bits
   std::vector<std::uint64_t> fog_key;
   std::vector<std::uint32_t> fog_streak, fog_until;
-  if (regional) {
-    region_of.resize(n);
-    eff_opt.assign(n, 0);
+  par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
+    const auto [begin, end] = par::chunk_range(n, chunks, c);
+    for (std::size_t i = begin; i < end; ++i) {
+      region_of[i] = config_.region_map.empty() ? static_cast<std::uint32_t>(i % R)
+                                                : config_.region_map[i];
+    }
+  });
+  if (config_.region_faults.any_enabled() || !config_.region_episodes.empty()) {
+    sim::FaultScheduleConfig rcfg = config_.region_faults;
+    if (rcfg.horizon_s <= 0.0) {
+      rcfg.horizon_s = static_cast<double>(steps) * config_.step_s;
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      sim::FaultScheduleConfig cfg_r = rcfg;
+      for (const RegionEpisode& re : config_.region_episodes) {
+        if (re.region == static_cast<std::uint32_t>(r)) {
+          cfg_r.scripted.push_back(re.episode);
+        }
+      }
+      region_inj[r] = sim::FaultInjector(
+          sim::FaultSchedule::generate_for_region(cfg_r, config_.seed, r));
+    }
+  }
+  if (fog_on) {
     offered_opt.assign(n, 0);
     dev_flags.assign(n, 0);
-    par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
-      const auto [begin, end] = par::chunk_range(n, chunks, c);
-      for (std::size_t i = begin; i < end; ++i) {
-        region_of[i] = config_.region_map.empty()
-                           ? static_cast<std::uint32_t>(i % R)
-                           : config_.region_map[i];
-      }
-    });
-    if (config_.region_faults.any_enabled() || !config_.region_episodes.empty()) {
-      sim::FaultScheduleConfig rcfg = config_.region_faults;
-      if (rcfg.horizon_s <= 0.0) {
-        rcfg.horizon_s = static_cast<double>(steps) * config_.step_s;
-      }
-      for (std::size_t r = 0; r < R; ++r) {
-        sim::FaultScheduleConfig cfg_r = rcfg;
-        for (const RegionEpisode& re : config_.region_episodes) {
-          if (re.region == static_cast<std::uint32_t>(r)) {
-            cfg_r.scripted.push_back(re.episode);
-          }
-        }
-        region_inj[r] = sim::FaultInjector(
-            sim::FaultSchedule::generate_for_region(cfg_r, config_.seed, r));
-      }
-    }
-    if (fog_on) {
-      // Fog admission priority: a hash stream disjoint from the cloud's
-      // admit keys, so fog and cloud never shed the same unlucky devices.
-      fog_key.resize(n);
-      const std::uint64_t fog_root = par::substream_seed(config_.seed, 0xf09);
-      par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
-        const auto [begin, end] = par::chunk_range(n, chunks, c);
-        for (std::size_t i = begin; i < end; ++i) {
-          fog_key[i] = par::substream_seed(fog_root, i);
-        }
-      });
-      if (fog_breaker_on) {
-        fog_streak.assign(n, 0);
-        fog_until.assign(n, 0);
-      }
+    // Fog admission priority: a hash stream disjoint from the cloud's
+    // admit keys, so fog and cloud never shed the same unlucky devices.
+    fog_key = priority_keys(pool, n, chunks, par::substream_seed(config_.seed, 0xf09));
+    if (fog_breaker_on) {
+      fog_streak.assign(n, 0);
+      fog_until.assign(n, 0);
     }
   }
   // Per-step regional backhaul state and repriced latency curves. Energy
   // surfaces never carry a backhaul coefficient (transfers past the radio
   // are not billed to the battery), so energy always prices on the base
   // curves; latency re-collapses only in regions with an active brownout.
-  std::vector<std::uint8_t> hop_out(R * std::max<std::size_t>(num_hops, 1), 0);
+  std::vector<std::uint8_t> hop_out(R * num_hops, 0);
   std::vector<std::uint8_t> region_any_out(R, 0);
   std::vector<std::vector<comm::CostCurve>> region_lat_scratch(R);
   std::vector<const std::vector<comm::CostCurve>*> region_lat(R, &latency_curves_);
@@ -631,6 +653,21 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
   std::vector<OfferAccum> offers(chunks);
   std::vector<std::uint64_t> hist(chunks * kLatencyBins, 0);
   std::vector<RegionAccum> racc(chunks * R);
+
+  // Central-cloud offers of devices [begin, end): every device whose
+  // resolved option occupies the last tier, except those its cloud breaker
+  // holds open. Runs once the option is final: at the end of pass A, or of
+  // pass A2 when fog sheds may still move devices down the ladder.
+  const auto count_cloud_offers = [&](std::size_t begin, std::size_t end,
+                                      std::size_t s, OfferAccum& oa) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t o = eff_opt[i];
+      if (!occupies_cloud_[o]) continue;
+      if (breaker_on && breaker_open(breaker_until[i], s)) continue;
+      ++oa.offered;
+      oa.job_ms_sum += cloud_ms_[o];
+    }
+  };
 
   FleetStats stats;
   stats.devices = n;
@@ -653,29 +690,27 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
     std::fill(hist.begin(), hist.end(), 0);
 
     // ---- serial regional state: backhaul health + repriced curves -------
-    if (regional) {
-      for (std::size_t r = 0; r < R; ++r) {
-        const sim::FaultInjector& inj = region_inj[r];
-        bool any_out = false;
-        bool any_slow = false;
-        for (std::size_t h = 1; h < num_hops; ++h) {
-          const bool out = inj.backhaul_unavailable(t, h);
-          hop_out[r * num_hops + h] = out ? 1 : 0;
-          any_out |= out;
-          const double factor = inj.backhaul_factor(t, h);
-          pin[h] = hop_tu_[h] * factor;
-          if (factor != 1.0) any_slow = true;
-        }
-        region_any_out[r] = any_out ? 1 : 0;
-        if (any_out) ++rtot[r].backhaul_out_steps;
-        if (any_slow) {
-          plan_.collapse_latency_curves_into(0, pin, region_lat_scratch[r]);
-          region_lat[r] = &region_lat_scratch[r];
-        } else {
-          region_lat[r] = &latency_curves_;  // nominal: the exact ctor curves
-        }
-        region_fog_fail[r] = inj.fog_failure_fraction(t);
+    for (std::size_t r = 0; r < R; ++r) {
+      const sim::FaultInjector& inj = region_inj[r];
+      bool any_out = false;
+      bool any_slow = false;
+      for (std::size_t h = 1; h < num_hops; ++h) {
+        const bool out = inj.backhaul_unavailable(t, h);
+        hop_out[r * num_hops + h] = out ? 1 : 0;
+        any_out |= out;
+        const double factor = inj.backhaul_factor(t, h);
+        pin[h] = hop_tu_[h] * factor;
+        if (factor != 1.0) any_slow = true;
       }
+      region_any_out[r] = any_out ? 1 : 0;
+      if (any_out) ++rtot[r].backhaul_out_steps;
+      if (any_slow) {
+        plan_.collapse_latency_curves_into(0, pin, region_lat_scratch[r]);
+        region_lat[r] = &region_lat_scratch[r];
+      } else {
+        region_lat[r] = &latency_curves_;  // nominal: the exact ctor curves
+      }
+      region_fog_fail[r] = inj.fog_failure_fraction(t);
     }
 
     // ---- pass A: trace, faults, tracking, selection, offer counting ----
@@ -725,36 +760,33 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
                             std::span<const double>(estimate.data() + begin, len),
                             std::span<std::uint32_t>(option.data() + begin, len));
 
-      // 5. Offer counting: what this shard wants from the next tier up,
-      //    before admission. Breaker-open devices sit the step out.
-      if (regional) {
-        // K-tier ladder, stage 1: backhaul-outage clamp (walk down to the
-        // deepest tier the region can still reach), fog breaker fast-fail,
-        // and fog offer counting per (chunk, region).
-        RegionAccum* ra = racc.data() + c * R;
-        for (std::size_t r = 0; r < R; ++r) ra[r] = RegionAccum{};
-        for (std::size_t i = begin; i < end; ++i) {
-          std::uint32_t o = option[i];
-          std::uint8_t fl = 0;
-          const std::uint32_t r = region_of[i];
-          if (region_any_out[r]) {
-            for (std::size_t hh = 1; hh < num_hops; ++hh) {
-              if (!hop_out[r * num_hops + hh] || !crosses_[o * num_hops + hh]) {
-                continue;
-              }
-              // The shallowest dead hop decides: confine to tiers 0..hh
-              // (when the plan has such an option at all).
-              if (ladder_within_[hh] >= 0) {
-                o = static_cast<std::uint32_t>(ladder_within_[hh]);
-              }
-              break;
+      // 5. Tier ladder, stage 1: backhaul-outage clamp (walk down to the
+      //    deepest tier the region can still reach), fog breaker fast-fail,
+      //    and fog offer counting per (chunk, region). Nothing here fires
+      //    at K=2: there is no backhaul hop and no fog tier.
+      RegionAccum* ra = racc.data() + c * R;
+      for (std::size_t r = 0; r < R; ++r) ra[r] = RegionAccum{};
+      for (std::size_t i = begin; i < end; ++i) {
+        std::uint32_t o = option[i];
+        const std::uint32_t r = region_of[i];
+        if (region_any_out[r]) {
+          for (std::size_t hh = 1; hh < num_hops; ++hh) {
+            if (!hop_out[r * num_hops + hh] || !crosses_[o * num_hops + hh]) {
+              continue;
             }
+            // The shallowest dead hop decides: confine to tiers 0..hh
+            // (when the plan has such an option at all).
+            if (ladder_within_[hh] >= 0) {
+              o = static_cast<std::uint32_t>(ladder_within_[hh]);
+            }
+            break;
           }
+        }
+        if (fog_on) {
           offered_opt[i] = o;
-          if (fog_on && fog_ms_[o] > 0.0) {
-            const bool open = fog_breaker_on && fog_until[i] > 0 &&
-                              s < static_cast<std::size_t>(fog_until[i]);
-            if (open) {
+          std::uint8_t fl = 0;
+          if (fog_ms_[o] > 0.0) {
+            if (fog_breaker_on && breaker_open(fog_until[i], s)) {
               // Fog breaker open: skip the probe entirely and serve the
               // next rung — cloud-direct when the plan has one and every
               // backhaul hop is alive, else the edge fallback.
@@ -770,37 +802,13 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
               ra[r].fog_job_ms += fog_ms_[o];
             }
           }
-          eff_opt[i] = o;
           dev_flags[i] = fl;
         }
-        // Without a fog stage the central-cloud offers are final here;
-        // with one they wait for pass A2 (fog sheds retry cloud-direct).
-        if (cloud_on && !fog_on) {
-          OfferAccum& oa = offers[c];
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t o = eff_opt[i];
-            if (!occupies_cloud_[o]) continue;
-            if (breaker_on && breaker_until[i] > 0 &&
-                s < static_cast<std::size_t>(breaker_until[i])) {
-              continue;
-            }
-            ++oa.offered;
-            oa.job_ms_sum += cloud_ms_[o];
-          }
-        }
-      } else if (cloud_on) {
-        OfferAccum& oa = offers[c];
-        for (std::size_t i = begin; i < end; ++i) {
-          const core::DeploymentOption& od = options[option[i]];
-          if (od.tx_bytes == 0) continue;
-          if (breaker_on && breaker_until[i] > 0 &&
-              s < static_cast<std::size_t>(breaker_until[i])) {
-            continue;
-          }
-          ++oa.offered;
-          oa.job_ms_sum += od.cloud_latency_ms;
-        }
+        eff_opt[i] = o;
       }
+      // Without a fog stage the central-cloud offers are final here; with
+      // one they wait for pass A2 (fog sheds retry cloud-direct).
+      if (cloud_on && !fog_on) count_cloud_offers(begin, end, s, offers[c]);
     });
 
     // ---- serial fog stage: one place_step per region, then pass A2 ------
@@ -835,13 +843,10 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
           std::uint8_t fl = dev_flags[i];
           if (!(fl & kFlagFogOffered)) continue;
           const std::uint32_t r = region_of[i];
-          if ((fog_key[i] >> 32) < fog_threshold[r]) {
+          const bool admitted = (fog_key[i] >> 32) < fog_threshold[r];
+          if (admitted) {
             fl |= kFlagFogAdmitted;
             ++ra[r].fog_admitted;
-            if (fog_breaker_on) {
-              fog_streak[i] = 0;
-              fog_until[i] = 0;  // closed (or a probe that succeeded)
-            }
           } else {
             ++ra[r].fog_shed;
             // Shed by the fog site: retry down the ladder. The aborted
@@ -856,36 +861,14 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
               eff_opt[i] = down;
               fl |= kFlagFogShed;
             }
-            if (fog_breaker_on) {
-              const bool probing = fog_until[i] > 0;  // s >= until here
-              if (probing || ++fog_streak[i] >= config_.breaker_failures) {
-                const auto jitter = static_cast<std::size_t>(
-                    fog_key[i] %
-                    static_cast<std::uint64_t>(config_.breaker_jitter_steps + 1));
-                fog_until[i] = static_cast<std::uint32_t>(
-                    s + 1 + config_.breaker_open_steps + jitter);
-                if (!probing) {
-                  ++acc[c].breaker_trips;
-                  fog_streak[i] = 0;
-                }
-              }
-            }
+          }
+          if (fog_breaker_on && breaker_record(config_, admitted, fog_key[i], s,
+                                               fog_streak[i], fog_until[i])) {
+            ++acc[c].breaker_trips;
           }
           dev_flags[i] = fl;
         }
-        if (cloud_on) {
-          OfferAccum& oa = offers[c];
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t o = eff_opt[i];
-            if (!occupies_cloud_[o]) continue;
-            if (breaker_on && breaker_until[i] > 0 &&
-                s < static_cast<std::size_t>(breaker_until[i])) {
-              continue;
-            }
-            ++oa.offered;
-            oa.job_ms_sum += cloud_ms_[o];
-          }
-        }
+        if (cloud_on) count_cloud_offers(begin, end, s, offers[c]);
       });
     }
 
@@ -914,131 +897,56 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
     }
 
     // ---- pass B: admission, breaker ladder, pricing, accounting --------
+    // Price eff_opt (the tier-ladder resolution of the hysteresis selection)
+    // on the REGION's realized curves at the actual throughput (outage
+    // clamped to the floor), then run the central-cloud admission/breaker
+    // stage.
     par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
       const auto [begin, end] = par::chunk_range(n, chunks, c);
-      const std::size_t len = end - begin;
-
-      // Price the realized link state: serving costs at the actual
-      // throughput (outage clamped to the floor), plus the full-option-
-      // set oracle via the allocation-free batch pricer.
       for (std::size_t i = begin; i < end; ++i) {
         eff[i] = tu[i] > 0.0 ? tu[i] : config_.tu_min;
-      }
-      if (two_tier_) {
-        plan_.price_batch_into(std::span<const double>(eff.data() + begin, len),
-                               std::span<core::PricedObjectives>(priced.data() + begin, len));
       }
 
       ChunkAccum& a = acc[c];
       std::uint64_t* h = hist.data() + c * kLatencyBins;
-      if (two_tier_) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (option[i] != prev[i]) {
-            ++a.switches;
-            ++switch_count[i];
-          }
-          const std::uint32_t o = option[i];
-          double lat = latency_curves_[o].value(eff[i]);
-          double energy = energy_curves_[o].value(eff[i]);
-          const core::DeploymentOption& od = options[o];
-          if (od.tx_bytes > 0) {
-            ++a.cloud_devices;
-            a.offered_bits += static_cast<double>(od.tx_bytes) * 8.0;
-          }
-          if (cloud_on && od.tx_bytes > 0) {
-            const bool open = breaker_on && breaker_until[i] > 0 &&
-                              s < static_cast<std::size_t>(breaker_until[i]);
-            if (open) {
-              // Breaker open: fast-fail straight to the edge fallback — no
-              // transmit, no offer, no reject round trip.
-              const std::uint32_t fb = *fallback_option_;
-              lat = latency_curves_[fb].value(eff[i]);
-              energy = energy_curves_[fb].value(eff[i]);
-              ++a.breaker_open_steps;
-            } else if ((admit_key[i] >> 32) < threshold) {
+      RegionAccum* ra = racc.data() + c * R;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (option[i] != prev[i]) {
+          ++a.switches;
+          ++switch_count[i];
+        }
+        const std::uint8_t fl = fog_on ? dev_flags[i] : 0;
+        std::uint32_t o = eff_opt[i];
+        const std::uint32_t r = region_of[i];
+        const std::vector<comm::CostCurve>& latc = *region_lat[r];
+        double lat = latc[o].value(eff[i]);
+        double energy = energy_curves_[o].value(eff[i]);
+        if (fl & kFlagFogAdmitted) lat += fog_out[r].mean_wait_ms;
+        if (options[o].tx_bytes > 0) {
+          ++a.cloud_devices;
+          a.offered_bits += static_cast<double>(options[o].tx_bytes) * 8.0;
+        }
+        if (cloud_on && occupies_cloud_[o]) {
+          if (breaker_on && breaker_open(breaker_until[i], s)) {
+            // Breaker open: fast-fail straight to the edge fallback — no
+            // transmit, no offer, no reject round trip.
+            const std::uint32_t fb = *fallback_option_;
+            lat = latc[fb].value(eff[i]);
+            energy = energy_curves_[fb].value(eff[i]);
+            o = fb;
+            ++a.breaker_open_steps;
+            ++ra[r].breaker_open;
+          } else {
+            const bool admitted = (admit_key[i] >> 32) < threshold;
+            if (admitted) {
               lat += outcome.mean_wait_ms;  // queueing feedback into RTT
               ++a.admitted;
-              if (breaker_on) {
-                fail_streak[i] = 0;
-                breaker_until[i] = 0;  // closed (or a probe that succeeded)
-              }
-            } else {
-              ++a.shed;
-              // Shed: everything but the cloud suffix happened (prefix,
-              // transmit, the reject's round trip is the curve's RTT term),
-              // then the full model re-runs on the edge fallback.
-              if (fallback_option_.has_value()) {
-                const std::uint32_t fb = *fallback_option_;
-                lat += latency_curves_[fb].value(eff[i]) - od.cloud_latency_ms;
-                energy += energy_curves_[fb].value(eff[i]);
-              }
-              if (breaker_on) {
-                const bool probing = breaker_until[i] > 0;  // s >= until here
-                if (probing || ++fail_streak[i] >= config_.breaker_failures) {
-                  const auto jitter = static_cast<std::size_t>(
-                      admit_key[i] %
-                      static_cast<std::uint64_t>(config_.breaker_jitter_steps + 1));
-                  breaker_until[i] = static_cast<std::uint32_t>(
-                      s + 1 + config_.breaker_open_steps + jitter);
-                  if (!probing) {
-                    ++a.breaker_trips;
-                    fail_streak[i] = 0;
-                  }
-                }
-              }
-            }
-          }
-          a.latency_ms += lat;
-          a.energy_mj += energy;
-          ++h[latency_bin(lat)];
-          if (config_.sla_ms > 0.0 && lat > config_.sla_ms) ++a.sla_violations;
-          a.oracle_latency_ms += priced[i].best_latency_ms;
-          a.oracle_energy_mj += priced[i].best_energy_mj;
-        }
-      } else {
-        // K-tier regional accounting: price eff_opt (the tier-ladder
-        // resolution of the hysteresis selection) on the REGION's realized
-        // curves, then run the central-cloud admission/breaker stage.
-        RegionAccum* ra = racc.data() + c * R;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (option[i] != prev[i]) {
-            ++a.switches;
-            ++switch_count[i];
-          }
-          const std::uint8_t fl = dev_flags[i];
-          std::uint32_t o = eff_opt[i];
-          const std::uint32_t r = region_of[i];
-          const std::vector<comm::CostCurve>& latc = *region_lat[r];
-          double lat = latc[o].value(eff[i]);
-          double energy = energy_curves_[o].value(eff[i]);
-          if (fl & kFlagFogAdmitted) lat += fog_out[r].mean_wait_ms;
-          if (options[o].tx_bytes > 0) {
-            ++a.cloud_devices;
-            a.offered_bits += static_cast<double>(options[o].tx_bytes) * 8.0;
-          }
-          if (cloud_on && occupies_cloud_[o]) {
-            const bool open = breaker_on && breaker_until[i] > 0 &&
-                              s < static_cast<std::size_t>(breaker_until[i]);
-            if (open) {
-              const std::uint32_t fb = *fallback_option_;
-              lat = latc[fb].value(eff[i]);
-              energy = energy_curves_[fb].value(eff[i]);
-              o = fb;
-              ++a.breaker_open_steps;
-              ++ra[r].breaker_open;
-            } else if ((admit_key[i] >> 32) < threshold) {
-              lat += outcome.mean_wait_ms;
-              ++a.admitted;
               ++ra[r].cloud_admitted;
-              if (breaker_on) {
-                fail_streak[i] = 0;
-                breaker_until[i] = 0;
-              }
             } else {
               ++a.shed;
               ++ra[r].cloud_shed;
               // Shed at the cloud door: everything up to the last tier ran
-              // (the curve's backhaul and RTT terms), minus the unserved
+              // (the curve's transfer and RTT terms), minus the unserved
               // cloud suffix, plus the edge re-execution.
               if (fallback_option_.has_value()) {
                 const std::uint32_t fb = *fallback_option_;
@@ -1046,42 +954,52 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
                 energy += energy_curves_[fb].value(eff[i]);
                 o = fb;
               }
-              if (breaker_on) {
-                const bool probing = breaker_until[i] > 0;  // s >= until
-                if (probing || ++fail_streak[i] >= config_.breaker_failures) {
-                  const auto jitter = static_cast<std::size_t>(
-                      admit_key[i] %
-                      static_cast<std::uint64_t>(config_.breaker_jitter_steps + 1));
-                  breaker_until[i] = static_cast<std::uint32_t>(
-                      s + 1 + config_.breaker_open_steps + jitter);
-                  if (!probing) {
-                    ++a.breaker_trips;
-                    fail_streak[i] = 0;
-                  }
-                }
-              }
+            }
+            if (breaker_on && breaker_record(config_, admitted, admit_key[i], s,
+                                             fail_streak[i], breaker_until[i])) {
+              ++a.breaker_trips;
             }
           }
-          if (fl & kFlagFogShed) {
-            // The aborted fog attempt's radio leg: edge prefix, hop-0
-            // transfer at the realized radio rate, and the reject's
-            // handshake round trip.
-            const std::uint32_t po = offered_opt[i];
-            lat += options[po].edge_latency_ms + radio_coeff_ms_[po] / eff[i] +
-                   radio_rtt_ms_;
-            energy += energy_curves_[po].value(eff[i]);
+        }
+        if (fl & kFlagFogShed) {
+          // The aborted fog attempt's radio leg: edge prefix, hop-0
+          // transfer at the realized radio rate, and the reject's
+          // handshake round trip.
+          const std::uint32_t po = offered_opt[i];
+          lat += options[po].edge_latency_ms + radio_coeff_ms_[po] / eff[i] +
+                 radio_rtt_ms_;
+          energy += energy_curves_[po].value(eff[i]);
+        }
+        if (fl & kFlagFogOpen) {
+          ++a.breaker_open_steps;
+          ++ra[r].breaker_open;
+        }
+        if (o != option[i]) ++ra[r].degraded;
+        a.latency_ms += lat;
+        a.energy_mj += energy;
+        ++h[latency_bin(lat)];
+        if (config_.sla_ms > 0.0 && lat > config_.sla_ms) ++a.sla_violations;
+      }
+
+      // Oracle: per-device objective minima over the full option set at
+      // the realized throughput. At K=2 price_batch_into keeps the two-tier
+      // report's bits (its `edge + (tx + rtt) + cloud` sum differs in the
+      // last ulp from a curve value); K-tier plans take the minimum over
+      // the region's realized curves, ascending strict-<.
+      if (num_hops == 1) {
+        std::array<core::PricedObjectives, kOracleBlock> priced;
+        for (std::size_t b = begin; b < end; b += kOracleBlock) {
+          const std::size_t len = std::min(kOracleBlock, end - b);
+          plan_.price_batch_into(std::span<const double>(eff.data() + b, len),
+                                 std::span<core::PricedObjectives>(priced.data(), len));
+          for (std::size_t k = 0; k < len; ++k) {
+            a.oracle_latency_ms += priced[k].best_latency_ms;
+            a.oracle_energy_mj += priced[k].best_energy_mj;
           }
-          if (fl & kFlagFogOpen) {
-            ++a.breaker_open_steps;
-            ++ra[r].breaker_open;
-          }
-          if (o != option[i]) ++ra[r].degraded;
-          a.latency_ms += lat;
-          a.energy_mj += energy;
-          ++h[latency_bin(lat)];
-          if (config_.sla_ms > 0.0 && lat > config_.sla_ms) ++a.sla_violations;
-          // Oracle: min over options on the region's realized curves,
-          // ascending strict-<.
+        }
+      } else {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::vector<comm::CostCurve>& latc = *region_lat[region_of[i]];
           double best_lat = latc[0].value(eff[i]);
           double best_energy = energy_curves_[0].value(eff[i]);
           for (std::size_t k = 1; k < num_options; ++k) {
@@ -1213,28 +1131,29 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
     const std::size_t bin = std::min<std::size_t>(sc, kSwitchBins - 1);
     ++stats.switch_histogram[bin];
   }
-  if (regional) {
+  // Two-tier plans report no regions, and so no regional or fog totals:
+  // their single implicit region would only repeat the fleet-wide columns.
+  if (num_hops > 1) {
     const double steps_d = static_cast<double>(steps);
+    const auto mean_qps = [&](std::uint64_t device_steps_run) {
+      return static_cast<double>(device_steps_run) * config_.device_qps / steps_d;
+    };
+    const auto seconds = [&](std::uint64_t steps_run) {
+      return static_cast<double>(steps_run) * config_.step_s;
+    };
     stats.regions.resize(R);
     for (std::size_t r = 0; r < R; ++r) {
       FleetStats::RegionStats& rs = stats.regions[r];
       const RegionTotals& rt = rtot[r];
-      rs.fog_offered_qps =
-          static_cast<double>(rt.fog_offered) * config_.device_qps / steps_d;
-      rs.fog_admitted_qps =
-          static_cast<double>(rt.fog_admitted) * config_.device_qps / steps_d;
-      rs.fog_shed_qps =
-          static_cast<double>(rt.fog_shed) * config_.device_qps / steps_d;
-      rs.cloud_offered_qps = static_cast<double>(rt.cloud_admitted + rt.cloud_shed) *
-                             config_.device_qps / steps_d;
-      rs.cloud_admitted_qps =
-          static_cast<double>(rt.cloud_admitted) * config_.device_qps / steps_d;
-      rs.cloud_shed_qps =
-          static_cast<double>(rt.cloud_shed) * config_.device_qps / steps_d;
-      rs.degraded_device_s = static_cast<double>(rt.degraded) * config_.step_s;
-      rs.breaker_open_s = static_cast<double>(rt.breaker_open) * config_.step_s;
-      rs.backhaul_out_s =
-          static_cast<double>(rt.backhaul_out_steps) * config_.step_s;
+      rs.fog_offered_qps = mean_qps(rt.fog_offered);
+      rs.fog_admitted_qps = mean_qps(rt.fog_admitted);
+      rs.fog_shed_qps = mean_qps(rt.fog_shed);
+      rs.cloud_offered_qps = mean_qps(rt.cloud_admitted + rt.cloud_shed);
+      rs.cloud_admitted_qps = mean_qps(rt.cloud_admitted);
+      rs.cloud_shed_qps = mean_qps(rt.cloud_shed);
+      rs.degraded_device_s = seconds(rt.degraded);
+      rs.breaker_open_s = seconds(rt.breaker_open);
+      rs.backhaul_out_s = seconds(rt.backhaul_out_steps);
       rs.fog_energy_j = rt.fog_energy_j;
       if (rt.fog_admitted > 0) {
         rs.fog_queue_wait_ms =

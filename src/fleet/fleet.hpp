@@ -177,7 +177,7 @@ struct FleetStats {
   double mean_queue_wait_ms = 0.0;   ///< admitted-weighted pool queueing wait
   double mean_machines_active = 0.0; ///< machines hosting load, mean per step
 
-  // ---- regional / fog columns (zero or empty on the two-tier path) ----
+  // ---- regional / fog columns (zero or empty for two-tier plans) ------
   std::uint64_t fog_shed = 0;        ///< device-steps shed by regional fog pools
   std::uint64_t degraded_steps = 0;  ///< device-steps served off the selected option
   double fog_energy_j = 0.0;         ///< all regional fog pools over the run
@@ -214,12 +214,21 @@ struct FleetStats {
 };
 
 /// Time-stepped fleet simulator over one compiled plan. Construction
-/// precomputes the cost curves and dominance intervals; run() owns the SoA
-/// device state and may be called repeatedly (each call restarts from the
-/// seeded initial state and returns the same report).
+/// precomputes the cost curves, dominance intervals and tier-ladder tables;
+/// run() owns the SoA device state and may be called repeatedly (each call
+/// restarts from the seeded initial state and returns the same report).
+///
+/// Every plan runs the one K-tier serving path; a two-tier plan is its K=2,
+/// one-region, fog-free case. Two things differ at K=2, both to keep the
+/// two-tier report as it has always been: the oracle columns come from
+/// DeploymentPlan::price_batch_into (whose `edge + (tx + rtt) + cloud`
+/// order differs in the last ulp from the curve minimum the K-tier oracle
+/// takes), and the report leaves `regions` empty and the regional/fog
+/// totals at zero.
 class FleetEngine {
  public:
   /// Two-tier plan: selection and pricing on the radio-throughput axis.
+  /// The per-hop ctor with a one-entry hop vector; throws for K-tier plans.
   FleetEngine(const core::DeploymentPlan& plan, FleetConfig config);
 
   /// K-tier plan with NOMINAL backhaul rates hop_tu_mbps[h] for hops past
@@ -246,9 +255,9 @@ class FleetEngine {
 
  private:
   void validate() const;
-  /// K-tier precomputation: per-option tier/hop tables and the degradation
-  /// ladder targets (best option confined to tiers 0..h, best cloud-direct
-  /// option) under the selection metric at the staged trace mean.
+  /// Per-option tier/hop tables and the degradation ladder targets (best
+  /// option confined to tiers 0..h, best cloud-direct option) under the
+  /// selection metric at the staged trace mean.
   void build_ladder_tables();
 
   core::DeploymentPlan plan_;
@@ -256,19 +265,19 @@ class FleetEngine {
   std::vector<comm::CostCurve> latency_curves_;
   std::vector<comm::CostCurve> energy_curves_;
   std::vector<runtime::DominanceInterval> intervals_;
-  bool two_tier_ = true;
   /// Cheapest edge-only option under the selected metric (the shed /
   /// breaker fallback target); nullopt when every option transmits.
   std::optional<std::uint32_t> fallback_option_;
 
-  // ---- K-tier regional tables (empty on the two-tier path) -------------
-  std::vector<double> hop_tu_;         ///< nominal per-hop rates (per-hop ctor)
-  std::vector<double> fog_ms_;         ///< per option: fog-tier compute (ms)
+  // ---- tier-ladder tables (at K=2: no fog tier, one hop) ---------------
+  std::vector<double> hop_tu_;         ///< nominal per-hop rates (entry 0 unread)
+  std::vector<double> fog_ms_;         ///< per option: fog-tier compute (ms; 0 at K=2)
   std::vector<double> cloud_ms_;       ///< per option: last-tier compute (ms)
   std::vector<double> radio_coeff_ms_; ///< latency surface per_inverse_tu[0]
   double radio_rtt_ms_ = 0.0;          ///< hop-0 handshake constant
   std::vector<std::uint8_t> crosses_;  ///< [opt * num_hops + h]: ships over hop h
-  std::vector<std::uint8_t> occupies_cloud_;  ///< per option: last tier occupied
+  /// Per option: last tier occupied (at K=2: the option transmits).
+  std::vector<std::uint8_t> occupies_cloud_;
   /// Degradation-ladder target per hop h: the best option confined to
   /// tiers 0..h (cuts[h] == n), -1 when the plan has none.
   std::vector<std::int32_t> ladder_within_;

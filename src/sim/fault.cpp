@@ -21,6 +21,10 @@ void validate_episode(const FaultEpisode& e) {
       e.end_s <= e.start_s) {
     throw std::invalid_argument("FaultSchedule: episode needs 0 <= start < end");
   }
+  // NaN fails every range comparison below, so it would pass them all.
+  if (std::isnan(e.magnitude)) {
+    throw std::invalid_argument("FaultSchedule: episode magnitude is NaN");
+  }
   switch (e.fault) {
     case FaultClass::kLinkOutage:
       if (e.magnitude <= 0.0 || e.magnitude > 1.0) {

@@ -46,6 +46,11 @@ TransferResult TimeVaryingLink::transfer(double start_s, std::uint64_t bytes) co
     // Rate is piecewise constant up to the next trace-interval edge or
     // fault-episode edge, whichever comes first.
     double interval_end = (std::floor(now / trace_.interval_s) + 1.0) * trace_.interval_s;
+    // floor(now / interval_s) can round one interval low when `now` sits on
+    // an edge (0.1 s trace, now 4.3: floor(42.999...) = 42), which puts the
+    // edge at or behind `now` and would stall the loop; take the next one.
+    // Fault boundaries always lie strictly after `now`.
+    if (interval_end <= now) interval_end += trace_.interval_s;
     if (faults_ != nullptr) {
       interval_end = std::min(interval_end, faults_->next_link_boundary(now));
     }

@@ -23,6 +23,7 @@
 #include "core/topology.hpp"
 #include "dnn/presets.hpp"
 #include "fleet/fleet.hpp"
+#include "io/io.hpp"
 #include "par/substream.hpp"
 #include "par/thread_pool.hpp"
 #include "perf/predictor.hpp"
@@ -542,6 +543,52 @@ TEST(FleetEngine, InfiniteCloudKeepsLegacySeriesInvariants) {
   EXPECT_EQ(stats.breaker_trips, 0u);
   EXPECT_EQ(stats.breaker_open_time_s, 0.0);
   EXPECT_EQ(stats.datacenter_energy_j, 0.0);
+}
+
+// Frozen two-tier references: the whole csv() of two scenarios, pinned by
+// its FNV-1a digest plus the headline fields (so a mismatch names the
+// column that moved). small_fleet_config() runs per-device link/cloud
+// faults against the infinite cloud; brownout_fleet_config() runs a finite
+// pool through a scripted brownout, so admission sheds and breakers trip.
+// The two-tier fleet is the K=2, one-region case of the tier ladder; these
+// numbers pin that case to the dedicated two-tier loop it replaced.
+TEST(FleetEngine, FrozenTwoTierReportsAreByteIdentical) {
+  const core::DeploymentPlan& plan = alexnet_plan();
+  par::ThreadPool pool(3);
+
+  const fleet::FleetStats faulty = fleet::FleetEngine(plan, small_fleet_config()).run(pool);
+  EXPECT_EQ(faulty.mean_latency_ms, 31.729846605830463);
+  EXPECT_EQ(faulty.p99_latency_ms, 36.517412725483773);
+  EXPECT_EQ(faulty.mean_energy_mj, 294.53061162336707);
+  EXPECT_EQ(faulty.oracle_mean_latency_ms, 31.65417153888475);
+  EXPECT_EQ(faulty.oracle_mean_energy_mj, 275.0411592766377);
+  EXPECT_EQ(faulty.mean_cloud_qps, 2.8500000000000001);
+  EXPECT_EQ(faulty.mean_offered_mbps, 0.97689599999999999);
+  EXPECT_EQ(faulty.total_switches, 67u);
+  EXPECT_EQ(faulty.outage_readings, 9133u);
+  EXPECT_EQ(faulty.degraded_steps, 0u);
+  EXPECT_TRUE(faulty.regions.empty());
+  EXPECT_EQ(io::fnv1a(faulty.csv()), 0x07af38f3f37805f8ull);
+
+  const fleet::FleetStats brownout =
+      fleet::FleetEngine(plan, brownout_fleet_config()).run(pool);
+  EXPECT_EQ(brownout.mean_latency_ms, 33.046673117505094);
+  EXPECT_EQ(brownout.p999_latency_ms, 64.938163157621133);
+  EXPECT_EQ(brownout.mean_energy_mj, 289.96754640404919);
+  EXPECT_EQ(brownout.oracle_mean_latency_ms, 28.647865790777029);
+  EXPECT_EQ(brownout.mean_cloud_qps, 3110.1111111111113);
+  EXPECT_EQ(brownout.mean_offered_qps, 3453.5555555555557);
+  EXPECT_EQ(brownout.shed, 6182u);
+  EXPECT_EQ(brownout.sla_violations, 0u);
+  EXPECT_EQ(brownout.breaker_trips, 2056u);
+  EXPECT_EQ(brownout.breaker_open_time_s, 1123100.0);
+  EXPECT_EQ(brownout.datacenter_energy_j, 977643.75);
+  EXPECT_EQ(brownout.mean_queue_wait_ms, 1.6238746096066436);
+  EXPECT_EQ(brownout.degraded_steps, 0u);
+  EXPECT_EQ(brownout.fog_shed, 0u);
+  EXPECT_EQ(brownout.fog_energy_j, 0.0);
+  EXPECT_TRUE(brownout.regions.empty());
+  EXPECT_EQ(io::fnv1a(brownout.csv()), 0x0b4a7214480220d7ull);
 }
 
 TEST(FleetEngine, ChunkCountDependsOnDevicesAlone) {

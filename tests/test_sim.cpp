@@ -71,6 +71,16 @@ TEST(Link, RateChangeIsIntegrated) {
   EXPECT_NEAR(r.energy_mj, expected_energy, 1e-6);
 }
 
+TEST(Link, TransferAdvancesPastEdgesThatFloorRoundsLow) {
+  // At now = 4.3 s, floor(4.3 / 0.1) = 42, so the computed edge is 4.3 s
+  // itself; the transfer must step on to the next edge rather than spin on
+  // an empty window. 8e5 bits at 8 Mbps take exactly 0.1 s.
+  TimeVaryingLink link(flat_trace(8.0, 0.1),
+                       comm::power_model_for(comm::WirelessTechnology::kWifi));
+  const TransferResult r = link.transfer(4.25, 100000);
+  EXPECT_NEAR(r.end_s, 4.35, 1e-9);
+}
+
 TEST(Link, TraceWrapsAround) {
   TimeVaryingLink link(flat_trace(4.0, 1.0), comm::power_model_for(comm::WirelessTechnology::kWifi));
   EXPECT_DOUBLE_EQ(link.throughput_at(0.5), 4.0);
@@ -463,6 +473,20 @@ TEST(FaultSchedule, Validation) {
                std::invalid_argument);  // empty interval
   EXPECT_THROW(FaultSchedule({{FaultClass::kEdgeSlowdown, 0.0, 1.0, 0.5}}),
                std::invalid_argument);  // slowdown < 1
+}
+
+TEST(FaultSchedule, RejectsNaNMagnitudes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FaultSchedule({{FaultClass::kLinkOutage, 0.0, 10.0, nan}}),
+               std::invalid_argument);
+  for (FaultClass fault :
+       {FaultClass::kCloudOutage, FaultClass::kRttSpike, FaultClass::kEdgeSlowdown,
+        FaultClass::kMachineFailure, FaultClass::kRegionalBrownout,
+        FaultClass::kBackhaulBrownout, FaultClass::kBackhaulOutage,
+        FaultClass::kFogSiteFailure}) {
+    EXPECT_THROW(FaultSchedule({{fault, 0.0, 10.0, nan, 1}}), std::invalid_argument)
+        << fault_class_name(fault);
+  }
 }
 
 TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {

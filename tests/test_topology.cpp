@@ -495,7 +495,8 @@ TEST_F(TopologyTest, SwitchingSurfaceValidation) {
   EXPECT_THROW(runtime::switching_surface({}, 0.05, 500.0, 1.0, 400.0, 6),
                std::invalid_argument);
   const DeploymentEvaluator three(three_tier());
-  const auto& surfaces = three.compile(dnn::alexnet()).latency_surfaces();
+  const DeploymentPlan three_plan = three.compile(dnn::alexnet());
+  const auto& surfaces = three_plan.latency_surfaces();
   EXPECT_THROW(runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 1),
                std::invalid_argument);
   EXPECT_THROW(runtime::switching_surface(surfaces, 5.0, 5.0, 1.0, 400.0, 6),
