@@ -1,7 +1,5 @@
 #include "core/analysis.hpp"
 
-#include "opt/hypervolume.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -53,23 +51,6 @@ FrontComparison compare_fronts(const opt::ParetoFront& a, const opt::ParetoFront
   cmp.b_dominates_a = opt::fraction_dominated(/*victims=*/a, /*aggressors=*/b);
   cmp.combined = opt::combined_front(a, b);
   return cmp;
-}
-
-std::vector<double> convergence_curve(const std::vector<EvaluatedCandidate>& history,
-                                      Objective a, Objective b,
-                                      const std::vector<double>& reference) {
-  std::vector<double> curve;
-  curve.reserve(history.size());
-  opt::ParetoFront front;
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    front.insert(i, {objective_value(history[i], a, DeploymentPolicy::kAsSearched),
-                     objective_value(history[i], b, DeploymentPolicy::kAsSearched)});
-    std::vector<std::vector<double>> points;
-    points.reserve(front.size());
-    for (const opt::ParetoPoint& p : front.points()) points.push_back(p.objectives);
-    curve.push_back(opt::hypervolume(points, reference));
-  }
-  return curve;
 }
 
 const opt::ParetoPoint& knee_point(const opt::ParetoFront& front) {

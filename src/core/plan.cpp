@@ -357,34 +357,6 @@ double DeploymentPlan::option_energy_mj(std::size_t index, double tu_mbps) const
   return o.edge_energy_mj + comm_.tx_energy_mj(o.tx_bytes, tu_mbps);
 }
 
-double DeploymentPlan::option_latency_ms(std::size_t index,
-                                         const std::vector<double>& tu_mbps) const {
-  if (tu_mbps.size() != num_hops()) {
-    throw std::invalid_argument("DeploymentPlan: expected one throughput per hop");
-  }
-  if (later_hops_.empty()) return option_latency_ms(index, tu_mbps[0]);
-  const DeploymentOption& o = options_.at(index);
-  double latency = o.tier_latency_ms[0];
-  for (std::size_t h = 0; h < num_hops(); ++h) {
-    if (o.hop_tx_bytes[h] > 0) {
-      latency += hop(h).comm_latency_ms(o.hop_tx_bytes[h], tu_mbps[h]);
-    }
-    latency += o.tier_latency_ms[h + 1];
-  }
-  return latency;
-}
-
-double DeploymentPlan::option_energy_mj(std::size_t index,
-                                        const std::vector<double>& tu_mbps) const {
-  if (tu_mbps.size() != num_hops()) {
-    throw std::invalid_argument("DeploymentPlan: expected one throughput per hop");
-  }
-  if (later_hops_.empty()) return option_energy_mj(index, tu_mbps[0]);
-  const DeploymentOption& o = options_.at(index);
-  if (o.hop_tx_bytes[0] == 0) return o.edge_energy_mj;
-  return o.edge_energy_mj + comm_.tx_energy_mj(o.hop_tx_bytes[0], tu_mbps[0]);
-}
-
 DeploymentEvaluation DeploymentPlan::price(double tu_mbps) const {
   DeploymentEvaluation result;
   price_into(tu_mbps, result);
@@ -497,35 +469,6 @@ PricedObjectives DeploymentPlan::objectives_at(double tu_mbps) const {
   return best;
 }
 
-PricedObjectives DeploymentPlan::objectives_at(const std::vector<double>& tu_mbps) const {
-  if (tu_mbps.size() != num_hops()) {
-    throw std::invalid_argument("DeploymentPlan: expected one throughput per hop");
-  }
-  if (later_hops_.empty()) return objectives_at(tu_mbps[0]);
-  for (double tu : tu_mbps) {
-    if (tu <= 0.0) {
-      throw std::invalid_argument("DeploymentPlan: throughput must be positive");
-    }
-  }
-  if (options_.empty()) throw std::logic_error("DeploymentPlan: empty plan");
-  PricedObjectives best;
-  best.best_latency_ms = option_latency_ms(std::size_t{0}, tu_mbps);
-  best.best_energy_mj = option_energy_mj(std::size_t{0}, tu_mbps);
-  for (std::size_t i = 1; i < options_.size(); ++i) {
-    const double latency = option_latency_ms(i, tu_mbps);
-    const double energy = option_energy_mj(i, tu_mbps);
-    if (latency < best.best_latency_ms) {
-      best.best_latency_ms = latency;
-      best.best_latency_option = i;
-    }
-    if (energy < best.best_energy_mj) {
-      best.best_energy_mj = energy;
-      best.best_energy_option = i;
-    }
-  }
-  return best;
-}
-
 std::vector<comm::CostCurve> DeploymentPlan::collapsed_latency_curves(
     std::size_t free_hop, const std::vector<double>& fixed_tu_mbps) const {
   std::vector<comm::CostCurve> curves;
@@ -552,15 +495,6 @@ void DeploymentPlan::collapse_latency_curves_into(
   out.resize(latency_surfaces_.size());
   for (std::size_t i = 0; i < latency_surfaces_.size(); ++i) {
     out[i] = latency_surfaces_[i].collapse(free_hop, fixed_tu_mbps);
-  }
-}
-
-void DeploymentPlan::collapse_energy_curves_into(
-    std::size_t free_hop, const std::vector<double>& fixed_tu_mbps,
-    std::vector<comm::CostCurve>& out) const {
-  out.resize(energy_surfaces_.size());
-  for (std::size_t i = 0; i < energy_surfaces_.size(); ++i) {
-    out[i] = energy_surfaces_[i].collapse(free_hop, fixed_tu_mbps);
   }
 }
 
@@ -640,22 +574,6 @@ void DeploymentPlan::price_batch_into(std::span<const double> tus_mbps,
       }
     }
   }
-}
-
-std::vector<PricedObjectives> DeploymentPlan::price_batch_per_hop(
-    const std::vector<std::vector<double>>& tus_mbps) const {
-  std::vector<PricedObjectives> out(tus_mbps.size());
-  price_batch_per_hop_into(tus_mbps, out);
-  return out;
-}
-
-void DeploymentPlan::price_batch_per_hop_into(
-    std::span<const std::vector<double>> tus_mbps,
-    std::span<PricedObjectives> out) const {
-  if (out.size() != tus_mbps.size()) {
-    throw std::invalid_argument("price_batch_per_hop_into: output span length differs");
-  }
-  for (std::size_t i = 0; i < tus_mbps.size(); ++i) out[i] = objectives_at(tus_mbps[i]);
 }
 
 }  // namespace lens::core

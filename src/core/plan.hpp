@@ -94,27 +94,18 @@ class DeploymentPlan {
   /// Allocation-free collapse into caller-owned storage (resized to
   /// options().size()), same arithmetic as the allocating forms above. The
   /// fleet re-collapses per (step, region) when a regional backhaul fault
-  /// stretches a hop, so this runs thousands of times per run. Note the
-  /// energy surfaces only ever carry a hop-0 coefficient (backhaul
-  /// transfers are not billed to the battery), so collapse_energy_curves_
-  /// into yields the same curves for every backhaul vector.
+  /// stretches a hop, so this runs thousands of times per run. Energy needs
+  /// no such form: its surfaces only ever carry a hop-0 coefficient
+  /// (backhaul transfers are not billed to the battery).
   void collapse_latency_curves_into(std::size_t free_hop,
                                     const std::vector<double>& fixed_tu_mbps,
                                     std::vector<comm::CostCurve>& out) const;
-  void collapse_energy_curves_into(std::size_t free_hop,
-                                   const std::vector<double>& fixed_tu_mbps,
-                                   std::vector<comm::CostCurve>& out) const;
 
   /// End-to-end cost of option `index` at throughput `tu_mbps`, using the
   /// exact arithmetic of the legacy evaluate() path (bit-identical).
   /// Two-tier plans only.
   double option_latency_ms(std::size_t index, double tu_mbps) const;
   double option_energy_mj(std::size_t index, double tu_mbps) const;
-
-  /// Per-hop-throughput forms; at K=2 a one-element vector delegates to the
-  /// scalar (bit-identical) path.
-  double option_latency_ms(std::size_t index, const std::vector<double>& tu_mbps) const;
-  double option_energy_mj(std::size_t index, const std::vector<double>& tu_mbps) const;
 
   /// Full Algorithm-1 result at `tu_mbps`: O(options), no predictor calls.
   /// Two-tier plans only (throws std::logic_error otherwise).
@@ -130,15 +121,12 @@ class DeploymentPlan {
   void price_into(const std::vector<double>& tu_mbps, DeploymentEvaluation& out) const;
 
   /// Objective minima only — no DeploymentEvaluation materialized at all.
+  /// Two-tier plans only; the scalar oracle of price_batch_into.
   PricedObjectives objectives_at(double tu_mbps) const;
-  PricedObjectives objectives_at(const std::vector<double>& tu_mbps) const;
 
-  /// objectives_at over a throughput sweep (one result per input, in order).
-  /// Two-tier plans sweep the radio throughput; K >= 3 plans use
-  /// price_batch_per_hop below.
+  /// objectives_at over a radio-throughput sweep (one result per input, in
+  /// order). Two-tier plans only.
   std::vector<PricedObjectives> price_batch(const std::vector<double>& tus_mbps) const;
-  std::vector<PricedObjectives> price_batch_per_hop(
-      const std::vector<std::vector<double>>& tus_mbps) const;
 
   /// Allocation-free core of price_batch: writes out[i] = objective minima
   /// at tus_mbps[i] into caller-owned storage (out.size() must match).
@@ -146,11 +134,6 @@ class DeploymentPlan {
   /// with per-shard buffers so a million-device step allocates nothing.
   void price_batch_into(std::span<const double> tus_mbps,
                         std::span<PricedObjectives> out) const;
-
-  /// Per-hop allocation-free variant (K >= 3 plans): one throughput vector
-  /// per result slot, written into caller-owned `out`.
-  void price_batch_per_hop_into(std::span<const std::vector<double>> tus_mbps,
-                                std::span<PricedObjectives> out) const;
 
  private:
   friend class DeploymentEvaluator;

@@ -49,12 +49,6 @@ struct RobustMetric {
   double expected_fixed_best = 0.0;   ///< best single option's mean cost
   std::size_t fixed_best_option = 0;  ///< index into options
   double expected_oracle = 0.0;       ///< per-sample cheapest option
-  /// Adaptation headroom: (fixed - oracle) / fixed, in [0, 1).
-  double switching_headroom() const {
-    return expected_fixed_best <= 0.0
-               ? 0.0
-               : (expected_fixed_best - expected_oracle) / expected_fixed_best;
-  }
 };
 
 /// Robust evaluation of one architecture.

@@ -51,85 +51,60 @@ double percentile_from_hist(const std::vector<std::uint64_t>& hist, std::uint64_
   return latency_bin_center(hist.size() - 1);
 }
 
-/// Per-device fault episodes in CSR layout (flat arrays + offsets), so the
-/// hot loop touches contiguous memory. Only the classes the fleet loop
-/// applies are extracted: hop-0 link fades and cloud outages.
-struct FaultCsr {
-  bool enabled = false;
-  std::vector<std::uint64_t> link_off;  // devices + 1
-  std::vector<double> link_start, link_end, link_depth;
-  std::vector<std::uint64_t> cloud_off;  // devices + 1
-  std::vector<double> cloud_start, cloud_end;
-};
-
-/// Episodes of one device shard, kept in device order within the shard.
+/// Per-device fault episodes of one device chunk in CSR layout (flat arrays
+/// plus offsets local to the chunk: device begin + k owns entries
+/// [off[k], off[k + 1])), so the hot loop touches contiguous memory. Only
+/// the classes the fleet loop applies are extracted: hop-0 link fades and
+/// cloud outages.
 struct FaultShard {
-  std::vector<std::uint64_t> link_count, cloud_count;  // per device in shard
+  std::vector<std::uint64_t> link_off, cloud_off;  // devices in chunk + 1
   std::vector<double> link_start, link_end, link_depth;
   std::vector<double> cloud_start, cloud_end;
 };
 
-FaultCsr build_fault_csr(const FleetConfig& config, par::ThreadPool& pool,
-                         std::size_t chunks) {
-  FaultCsr csr;
-  if (!config.faults.any_enabled()) return csr;
-  csr.enabled = true;
+/// One FaultShard per chunk (empty when no per-device fault is enabled).
+/// Each device's schedule is a pure function of (config, seed, device id)
+/// and the chunk count depends only on the device count, so shards generate
+/// independently and the layout is thread-count-invariant.
+std::vector<FaultShard> build_fault_shards(const FleetConfig& config, par::ThreadPool& pool,
+                                           std::size_t chunks) {
+  if (!config.faults.any_enabled()) return {};
   sim::FaultScheduleConfig fcfg = config.faults;
   if (fcfg.horizon_s <= 0.0) {
     fcfg.horizon_s = static_cast<double>(config.steps) * config.step_s;
   }
-
-  // Each device's schedule is a pure function of (config, seed, device id),
-  // so shards generate independently; the CSR concatenation below runs
-  // serially in chunk order, keeping the layout thread-count-invariant.
   std::vector<FaultShard> shards(chunks);
   par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
     const auto [begin, end] = par::chunk_range(config.devices, chunks, c);
     FaultShard& shard = shards[c];
-    shard.link_count.reserve(end - begin);
-    shard.cloud_count.reserve(end - begin);
+    shard.link_off.reserve(end - begin + 1);
+    shard.cloud_off.reserve(end - begin + 1);
+    shard.link_off.push_back(0);
+    shard.cloud_off.push_back(0);
     for (std::size_t d = begin; d < end; ++d) {
       const sim::FaultSchedule schedule =
           sim::FaultSchedule::generate_for_device(fcfg, config.seed, d);
-      std::uint64_t links = 0, clouds = 0;
       for (const sim::FaultEpisode& e : schedule.episodes()) {
         if (e.fault == sim::FaultClass::kLinkOutage && e.hop == 0) {
           shard.link_start.push_back(e.start_s);
           shard.link_end.push_back(e.end_s);
           shard.link_depth.push_back(e.magnitude);
-          ++links;
         } else if (e.fault == sim::FaultClass::kCloudOutage) {
           shard.cloud_start.push_back(e.start_s);
           shard.cloud_end.push_back(e.end_s);
-          ++clouds;
         }
       }
-      shard.link_count.push_back(links);
-      shard.cloud_count.push_back(clouds);
+      shard.link_off.push_back(shard.link_start.size());
+      shard.cloud_off.push_back(shard.cloud_start.size());
     }
+    // Drop the push_back growth slack: the shards live for the whole run.
+    shard.link_start.shrink_to_fit();
+    shard.link_end.shrink_to_fit();
+    shard.link_depth.shrink_to_fit();
+    shard.cloud_start.shrink_to_fit();
+    shard.cloud_end.shrink_to_fit();
   });
-
-  csr.link_off.reserve(config.devices + 1);
-  csr.cloud_off.reserve(config.devices + 1);
-  csr.link_off.push_back(0);
-  csr.cloud_off.push_back(0);
-  for (const FaultShard& shard : shards) {
-    for (std::size_t i = 0; i < shard.link_count.size(); ++i) {
-      csr.link_off.push_back(csr.link_off.back() + shard.link_count[i]);
-      csr.cloud_off.push_back(csr.cloud_off.back() + shard.cloud_count[i]);
-    }
-    csr.link_start.insert(csr.link_start.end(), shard.link_start.begin(),
-                          shard.link_start.end());
-    csr.link_end.insert(csr.link_end.end(), shard.link_end.begin(),
-                        shard.link_end.end());
-    csr.link_depth.insert(csr.link_depth.end(), shard.link_depth.begin(),
-                          shard.link_depth.end());
-    csr.cloud_start.insert(csr.cloud_start.end(), shard.cloud_start.begin(),
-                           shard.cloud_start.end());
-    csr.cloud_end.insert(csr.cloud_end.end(), shard.cloud_end.begin(),
-                         shard.cloud_end.end());
-  }
-  return csr;
+  return shards;
 }
 
 /// Per-chunk accumulators of the offer pass (pass A): what the chunk's
@@ -188,24 +163,6 @@ struct ChunkAccum {
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_open_steps = 0;  // device-steps served open
 };
-
-/// Cheapest edge-only option under the selection curves (constant in tu,
-/// so any throughput prices it) — the shed / breaker fallback target.
-std::optional<std::uint32_t> cheapest_edge_only(
-    const std::vector<core::DeploymentOption>& options,
-    const std::vector<comm::CostCurve>& sel) {
-  std::optional<std::uint32_t> best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    if (options[i].tx_bytes != 0) continue;
-    const double cost = sel[i].value(1.0);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = static_cast<std::uint32_t>(i);
-    }
-  }
-  return best;
-}
 
 /// Step-based circuit breaker of one device on one hop; the fleet keeps one
 /// per device for the central cloud and one for its region's fog site.
@@ -412,12 +369,21 @@ void FleetEngine::validate() const {
       }
     }
   }
+  std::vector<sim::FaultEpisode> region_scripted;
+  region_scripted.reserve(config_.region_episodes.size());
   for (const RegionEpisode& re : config_.region_episodes) {
     if (re.region >= config_.num_regions) {
       throw std::invalid_argument(
           "FleetEngine: region_episodes entry targets a region out of range");
     }
+    region_scripted.push_back(re.episode);
   }
+  // Building a schedule throws on a malformed scripted episode (bad times,
+  // NaN or out-of-range magnitude), so a bad config fails here, not in run().
+  (void)sim::FaultSchedule(std::move(region_scripted));
+  (void)sim::FaultSchedule(config_.faults.scripted);
+  (void)sim::FaultSchedule(config_.cloud_faults.scripted);
+  (void)sim::FaultSchedule(config_.region_faults.scripted);
   if (config_.fog.has_value()) (void)cloud::MachinePool(*config_.fog);
 }
 
@@ -449,7 +415,9 @@ FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
   const auto& sel = config_.metric == runtime::OptimizeFor::kLatency ? latency_curves_
                                                                      : energy_curves_;
   intervals_ = runtime::dominance_intervals(sel, config_.tu_min, config_.tu_max);
-  fallback_option_ = cheapest_edge_only(plan_.options(), sel);
+  if (const auto edge = runtime::cheapest_edge_only(plan_.options(), sel)) {
+    fallback_option_ = static_cast<std::uint32_t>(*edge);
+  }
   build_ladder_tables();
 }
 
@@ -551,7 +519,7 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
     }
   });
 
-  const FaultCsr csr = build_fault_csr(config_, pool, chunks);
+  const std::vector<FaultShard> fault_shards = build_fault_shards(config_, pool, chunks);
 
   // --- finite-cloud state ----------------------------------------------
   const bool cloud_on = config_.cloud.has_value();
@@ -724,17 +692,19 @@ FleetStats FleetEngine::run(par::ThreadPool& pool) {
       // 2. Fault overlay: link fades scale the reading; a cloud outage
       //    turns it into an outage reading (tu = 0) — an unreachable cloud
       //    is indistinguishable from a dead link at the device.
-      if (csr.enabled) {
+      if (!fault_shards.empty()) {
+        const FaultShard& f = fault_shards[c];
         for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t k = i - begin;
           double factor = 1.0;
-          for (std::uint64_t j = csr.link_off[i]; j < csr.link_off[i + 1]; ++j) {
-            if (t >= csr.link_start[j] && t < csr.link_end[j]) {
-              factor = std::min(factor, csr.link_depth[j]);
+          for (std::uint64_t j = f.link_off[k]; j < f.link_off[k + 1]; ++j) {
+            if (t >= f.link_start[j] && t < f.link_end[j]) {
+              factor = std::min(factor, f.link_depth[j]);
             }
           }
           tu[i] *= factor;
-          for (std::uint64_t j = csr.cloud_off[i]; j < csr.cloud_off[i + 1]; ++j) {
-            if (t >= csr.cloud_start[j] && t < csr.cloud_end[j]) {
+          for (std::uint64_t j = f.cloud_off[k]; j < f.cloud_off[k + 1]; ++j) {
+            if (t >= f.cloud_start[j] && t < f.cloud_end[j]) {
               tu[i] = 0.0;
               break;
             }

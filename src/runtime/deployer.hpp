@@ -11,8 +11,9 @@
 // Degraded links are handled by a FallbackPolicy rather than a blind clamp:
 // outage samples (tu <= 0) either price-select at the analyzed pessimistic
 // floor or hold the tracker's last estimate with geometric decay
-// (suppressing needless re-staging across brief fades), and a cloud that is
-// unreachable altogether forces the cheapest edge-only option.
+// (suppressing needless re-staging across brief fades). When the cloud is
+// unreachable or sheds, the fleet and the event simulator fall back to
+// cheapest_edge_only().
 
 #include <cstddef>
 #include <cstdint>
@@ -93,6 +94,13 @@ void select_batch(std::span<const DominanceInterval> intervals,
                   std::span<const double> tu_mbps,
                   std::span<std::uint32_t> current_option);
 
+/// Index of the cheapest edge-only option (tx_bytes == 0) under `curves`
+/// (aligned with `options`), or nullopt when the set has none. Edge-only
+/// curves are constant in throughput, so comparing them at any point (here
+/// 1 Mbps) ranks them; the strict < keeps the lowest index on ties.
+std::optional<std::size_t> cheapest_edge_only(std::span<const core::DeploymentOption> options,
+                                              std::span<const CostCurve> curves);
+
 /// Runtime option selector for one model.
 class DynamicDeployer {
  public:
@@ -125,35 +133,6 @@ class DynamicDeployer {
   std::size_t select_with_hysteresis(double tu_mbps, std::size_t current,
                                      double margin = 0.05) const;
 
-  /// Batched hysteresis over SoA device spans (see the free select_batch):
-  /// current_option[i] is updated in place from reading tu_mbps[i], with the
-  /// deployer's own intervals/curves/tu_min.
-  void select_batch(std::span<const double> tu_mbps,
-                    std::span<std::uint32_t> current_option,
-                    double margin = 0.05) const;
-
-  /// Cheapest edge-only option (tx_bytes == 0) under the metric, if the
-  /// option set has one. Edge-only costs are throughput-independent, so
-  /// this is precomputed once.
-  std::optional<std::size_t> cheapest_edge_only() const { return edge_only_; }
-
-  /// Forced all-edge selection for when the cloud is unreachable (every
-  /// transmitting option would only time out). Throws std::logic_error
-  /// when the option set has no edge-only member.
-  std::size_t select_cloud_unreachable() const;
-
-  /// Cheapest option whose layers all live on tiers 0..max_tier (so it uses
-  /// no hop >= max_tier), ranked at the analyzed pessimistic floor tu_min.
-  /// max_tier 0 is the edge-only query.
-  std::optional<std::size_t> cheapest_confined(std::size_t max_tier) const;
-
-  /// Tier-ladder fallback: hop `down_hop` is unreachable, so walk down the
-  /// hierarchy — first the cheapest option confined to tiers 0..down_hop,
-  /// then 0..down_hop-1, ... down to edge-only. Throws std::logic_error when
-  /// even the edge-only rung is missing. select_cloud_unreachable() is the
-  /// hop-0 rung of this ladder.
-  std::size_t select_hop_unreachable(std::size_t down_hop) const;
-
   /// Thresholds partitioning the throughput axis (design-time output the
   /// runtime switcher consults).
   const std::vector<DominanceInterval>& intervals() const { return intervals_; }
@@ -178,12 +157,10 @@ class DynamicDeployer {
  private:
   /// Point-query outage clamp: non-positive throughput prices as tu_min_.
   double effective_tu(double tu_mbps) const { return tu_mbps > 0.0 ? tu_mbps : tu_min_; }
-  void find_edge_only();
 
   std::vector<core::DeploymentOption> options_;
   std::vector<CostCurve> curves_;
   std::vector<DominanceInterval> intervals_;
-  std::optional<std::size_t> edge_only_;
   OptimizeFor metric_;
   double tu_min_ = 0.05;
 };

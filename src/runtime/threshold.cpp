@@ -110,73 +110,4 @@ std::vector<DominanceInterval> dominance_intervals(const std::vector<CostCurve>&
   return intervals;
 }
 
-std::vector<CostCurve> collapse_curves(const std::vector<comm::MultiHopCurve>& surfaces,
-                                       std::size_t free_hop,
-                                       const std::vector<double>& fixed_tu_mbps) {
-  std::vector<CostCurve> curves;
-  curves.reserve(surfaces.size());
-  for (const comm::MultiHopCurve& surface : surfaces) {
-    curves.push_back(surface.collapse(free_hop, fixed_tu_mbps));
-  }
-  return curves;
-}
-
-std::optional<double> crossover_tu_hop(const comm::MultiHopCurve& a,
-                                       const comm::MultiHopCurve& b, std::size_t free_hop,
-                                       const std::vector<double>& fixed_tu_mbps) {
-  return crossover_tu(a.collapse(free_hop, fixed_tu_mbps),
-                      b.collapse(free_hop, fixed_tu_mbps));
-}
-
-std::size_t SwitchingSurface::select(double tu0_mbps, double tu1_mbps) const {
-  if (rows.empty()) throw std::logic_error("SwitchingSurface: empty surface");
-  // Nearest backhaul grid row in log space (the grid is log-spaced).
-  const double tu1 = std::min(std::max(tu1_mbps, backhaul_tus_mbps.front()),
-                              backhaul_tus_mbps.back());
-  std::size_t row = 0;
-  double best_distance = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < backhaul_tus_mbps.size(); ++i) {
-    const double distance = std::abs(std::log(tu1) - std::log(backhaul_tus_mbps[i]));
-    if (distance < best_distance) {
-      best_distance = distance;
-      row = i;
-    }
-  }
-  const std::vector<DominanceInterval>& intervals = rows[row];
-  for (const DominanceInterval& iv : intervals) {
-    if (tu0_mbps >= iv.tu_low && tu0_mbps < iv.tu_high) return iv.option_index;
-  }
-  return tu0_mbps < intervals.front().tu_low ? intervals.front().option_index
-                                             : intervals.back().option_index;
-}
-
-SwitchingSurface switching_surface(const std::vector<comm::MultiHopCurve>& surfaces,
-                                   double tu0_min, double tu0_max, double tu1_min,
-                                   double tu1_max, std::size_t num_rows) {
-  if (surfaces.empty()) throw std::invalid_argument("switching_surface: no surfaces");
-  for (const comm::MultiHopCurve& surface : surfaces) {
-    if (surface.num_hops() != 2) {
-      throw std::invalid_argument("switching_surface: expected two-hop surfaces");
-    }
-  }
-  if (!(tu1_min > 0.0) || !(tu1_max > tu1_min)) {
-    throw std::invalid_argument("switching_surface: bad backhaul throughput range");
-  }
-  if (num_rows < 2) throw std::invalid_argument("switching_surface: need >= 2 rows");
-
-  SwitchingSurface out;
-  out.backhaul_tus_mbps.reserve(num_rows);
-  out.rows.reserve(num_rows);
-  const double log_lo = std::log(tu1_min);
-  const double log_hi = std::log(tu1_max);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    const double frac = static_cast<double>(r) / static_cast<double>(num_rows - 1);
-    const double tu1 = std::exp(log_lo + (log_hi - log_lo) * frac);
-    out.backhaul_tus_mbps.push_back(tu1);
-    out.rows.push_back(
-        dominance_intervals(collapse_curves(surfaces, 0, {1.0, tu1}), tu0_min, tu0_max));
-  }
-  return out;
-}
-
 }  // namespace lens::runtime

@@ -56,46 +56,4 @@ struct DominanceInterval {
 std::vector<DominanceInterval> dominance_intervals(const std::vector<CostCurve>& curves,
                                                    double tu_min, double tu_max);
 
-// --- K-tier (per-hop) threshold machinery -------------------------------
-//
-// A K-tier deployment option costs constant + sum_h slope_h / t_h over the
-// per-hop throughput vector (comm::MultiHopCurve). Fixing every hop but one
-// collapses the surface onto the familiar 1-D hyperbola, so crossovers and
-// dominance intervals in any single hop reuse the machinery above verbatim.
-
-/// Collapse per-option multi-hop surfaces into 1-D curves in hop `free_hop`,
-/// with every other hop pinned at `fixed_tu_mbps[h]` (full per-hop vector;
-/// the free entry is ignored).
-std::vector<CostCurve> collapse_curves(const std::vector<comm::MultiHopCurve>& surfaces,
-                                       std::size_t free_hop,
-                                       const std::vector<double>& fixed_tu_mbps);
-
-/// Throughput in hop `free_hop` at which two surfaces cross, with the other
-/// hops pinned at `fixed_tu_mbps`.
-std::optional<double> crossover_tu_hop(const comm::MultiHopCurve& a,
-                                       const comm::MultiHopCurve& b, std::size_t free_hop,
-                                       const std::vector<double>& fixed_tu_mbps);
-
-/// Per-hop switching surface for two-hop (3-tier edge-fog-cloud)
-/// hierarchies: dominance intervals over the radio throughput t_0,
-/// conditioned on a log-spaced grid of backhaul throughputs t_1. Each row is
-/// an ordinary 1-D switching table; select() snaps the observed backhaul to
-/// the nearest grid row (log distance) and does the usual interval lookup.
-struct SwitchingSurface {
-  std::vector<double> backhaul_tus_mbps;             ///< grid, ascending
-  std::vector<std::vector<DominanceInterval>> rows;  ///< rows[i]: intervals at grid i
-
-  /// Option index to use at (t_0, t_1); clamps outside the analyzed ranges.
-  /// Throws std::logic_error on an empty surface.
-  std::size_t select(double tu0_mbps, double tu1_mbps) const;
-};
-
-/// Build a SwitchingSurface for two-hop option surfaces over
-/// [tu0_min, tu0_max] x [tu1_min, tu1_max] with `num_rows` >= 2 backhaul
-/// grid rows. Throws std::invalid_argument on empty surfaces, non-two-hop
-/// surfaces, or degenerate ranges.
-SwitchingSurface switching_surface(const std::vector<comm::MultiHopCurve>& surfaces,
-                                   double tu0_min, double tu0_max, double tu1_min,
-                                   double tu1_max, std::size_t num_rows);
-
 }  // namespace lens::runtime

@@ -343,17 +343,6 @@ bool FaultInjector::cloud_unavailable(double t_s) const {
   return value(FaultClass::kCloudOutage, t_s, 0) != 0.0;
 }
 
-double FaultInjector::cloud_recovery_time(double t_s) const {
-  const StepTable* steps = table(FaultClass::kCloudOutage, 0);
-  if (steps == nullptr) return t_s;
-  std::size_t i = steps->segment(t_s);
-  if (steps->values[i] == 0.0) return t_s;
-  // Chained windows: walk forward to the first healthy segment, which
-  // begins where the covered run containing t_s ends.
-  while (steps->values[i] != 0.0) ++i;
-  return steps->edges[i - 1];
-}
-
 double FaultInjector::rtt_extra_ms(double t_s, std::size_t hop) const {
   return value(FaultClass::kRttSpike, t_s, hop);
 }

@@ -1,4 +1,4 @@
-// Tests for CSV export of search results and learning-rate schedules.
+// Tests for CSV export of search results.
 
 #include <cstdio>
 #include <fstream>
@@ -8,7 +8,6 @@
 
 #include "core/export.hpp"
 #include "io/io.hpp"
-#include "nn/schedule.hpp"
 #include "perf/predictor.hpp"
 
 namespace lens::core {
@@ -160,40 +159,3 @@ TEST_F(ExportTest, BadPathThrows) {
 
 }  // namespace
 }  // namespace lens::core
-
-namespace lens::nn {
-namespace {
-
-TEST(Schedules, ConstantIsConstant) {
-  const ConstantLr lr(0.01);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(0), 0.01);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(100), 0.01);
-  EXPECT_THROW(ConstantLr(0.0), std::invalid_argument);
-}
-
-TEST(Schedules, StepDecayHalvesOnSchedule) {
-  const StepDecayLr lr(0.1, 0.5, 10);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(0), 0.1);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(9), 0.1);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(10), 0.05);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(25), 0.025);
-  EXPECT_THROW(StepDecayLr(0.1, 1.5, 10), std::invalid_argument);
-  EXPECT_THROW(StepDecayLr(0.1, 0.5, 0), std::invalid_argument);
-}
-
-TEST(Schedules, CosineDecayEndpoints) {
-  const CosineDecayLr lr(0.1, 10, 0.001);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(0), 0.1);
-  EXPECT_NEAR(lr.learning_rate(5), 0.5 * (0.1 + 0.001), 1e-9);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(10), 0.001);
-  EXPECT_DOUBLE_EQ(lr.learning_rate(50), 0.001);  // clamps after the horizon
-  // Monotone non-increasing.
-  for (std::size_t e = 1; e <= 10; ++e) {
-    EXPECT_LE(lr.learning_rate(e), lr.learning_rate(e - 1) + 1e-12);
-  }
-  EXPECT_THROW(CosineDecayLr(0.1, 0), std::invalid_argument);
-  EXPECT_THROW(CosineDecayLr(0.1, 10, 0.5), std::invalid_argument);
-}
-
-}  // namespace
-}  // namespace lens::nn

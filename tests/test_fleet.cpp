@@ -201,6 +201,9 @@ core::DeploymentOption make_option(core::DeploymentKind kind, double edge_latenc
   return o;
 }
 
+/// The deployers' analyzed floor: select_batch clamps outage readings to it.
+constexpr double kTuMin = 0.05;
+
 runtime::DynamicDeployer make_deployer() {
   const comm::CommModel comm(comm::WirelessTechnology::kWifi, 15.0);
   std::vector<core::DeploymentOption> options;
@@ -210,7 +213,7 @@ runtime::DynamicDeployer make_deployer() {
   options.push_back(make_option(core::DeploymentKind::kPartitioned, 12.0, 90.0, 36864));
   options.push_back(make_option(core::DeploymentKind::kAllCloud, 2.0, 10.0, 154587));
   return runtime::DynamicDeployer(std::move(options), comm,
-                                  runtime::OptimizeFor::kLatency, 0.05, 500.0);
+                                  runtime::OptimizeFor::kLatency, kTuMin, 500.0);
 }
 
 TEST(SelectBatch, MatchesSelectWithHysteresisEverywhere) {
@@ -230,7 +233,8 @@ TEST(SelectBatch, MatchesSelectWithHysteresisEverywhere) {
     for (std::size_t current = 0; current < deployer.options().size(); ++current) {
       std::vector<std::uint32_t> batch_current(probes.size(),
                                                static_cast<std::uint32_t>(current));
-      deployer.select_batch(probes, batch_current, margin);
+      runtime::select_batch(deployer.intervals(), deployer.curves(), kTuMin, margin, probes,
+                            batch_current);
       for (std::size_t i = 0; i < probes.size(); ++i) {
         EXPECT_EQ(batch_current[i],
                   deployer.select_with_hysteresis(probes[i], current, margin))
@@ -248,12 +252,13 @@ TEST(SelectBatch, TiedCurvesNeverFlap) {
   options.push_back(make_option(core::DeploymentKind::kPartitioned, 12.0, 90.0, 36864));
   options.push_back(make_option(core::DeploymentKind::kPartitioned, 12.0, 90.0, 36864));
   const runtime::DynamicDeployer deployer(std::move(options), comm,
-                                          runtime::OptimizeFor::kLatency, 0.05, 500.0);
+                                          runtime::OptimizeFor::kLatency, kTuMin, 500.0);
   for (const double tu : {0.3, 3.0, 30.0}) {
     std::vector<double> probe{tu};
     for (std::uint32_t current : {0u, 1u}) {
       std::vector<std::uint32_t> option{current};
-      deployer.select_batch(probe, option, 0.0);
+      runtime::select_batch(deployer.intervals(), deployer.curves(), kTuMin, 0.0, probe,
+                            option);
       EXPECT_EQ(option[0], current);
     }
   }
@@ -263,7 +268,9 @@ TEST(SelectBatch, RejectsMismatchedSpans) {
   const runtime::DynamicDeployer deployer = make_deployer();
   std::vector<double> tu(3, 1.0);
   std::vector<std::uint32_t> current(2, 0);
-  EXPECT_THROW(deployer.select_batch(tu, current), std::invalid_argument);
+  EXPECT_THROW(runtime::select_batch(deployer.intervals(), deployer.curves(), kTuMin, 0.05,
+                                     tu, current),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,18 +330,6 @@ TEST(PriceBatchInto, Validation) {
   std::vector<core::PricedObjectives> short_out(1);
   std::vector<double> ok{5.0, 6.0};
   EXPECT_THROW(plan.price_batch_into(ok, short_out), std::invalid_argument);
-}
-
-TEST(PriceBatchPerHopInto, MatchesObjectivesAt) {
-  const core::DeploymentPlan& plan = alexnet_plan();
-  std::vector<std::vector<double>> tus{{3.0}, {8.0}, {21.0}};
-  std::vector<core::PricedObjectives> got(tus.size());
-  plan.price_batch_per_hop_into(tus, got);
-  for (std::size_t i = 0; i < tus.size(); ++i) {
-    const core::PricedObjectives oracle = plan.objectives_at(tus[i]);
-    EXPECT_EQ(got[i].best_latency_ms, oracle.best_latency_ms);
-    EXPECT_EQ(got[i].best_energy_mj, oracle.best_energy_mj);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -748,6 +743,27 @@ TEST(FleetEngine, RegionalKnobsRequireKTierPlan) {
       {7, {sim::FaultClass::kBackhaulOutage, 0.0, 100.0, 0.0, 1}});
   EXPECT_THROW(fleet::FleetEngine(ktier, {5.0, 40.0}, config),
                std::invalid_argument);
+}
+
+// A malformed scripted episode must fail in the constructor, before run()
+// prints or allocates anything: NaN passes every < / > range check, so it is
+// the case a hand-rolled check would miss.
+TEST(FleetEngine, CtorRejectsMalformedScriptedEpisodes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const core::DeploymentPlan& ktier = ktier_alexnet_plan();
+  fleet::FleetConfig config = small_fleet_config();
+  config.num_regions = 2;
+  config.region_episodes.push_back(
+      {0, {sim::FaultClass::kBackhaulBrownout, 0.0, 10.0, nan, 1}});
+  EXPECT_THROW(fleet::FleetEngine(ktier, {5.0, 40.0}, config), std::invalid_argument);
+
+  config = brownout_fleet_config();
+  config.cloud_faults.scripted.push_back(
+      {sim::FaultClass::kRegionalBrownout, 100.0, 50.0, 0.5});  // ends before it starts
+  EXPECT_THROW(fleet::FleetEngine(alexnet_plan(), config), std::invalid_argument);
+  config = brownout_fleet_config();
+  config.cloud_faults.scripted.front().magnitude = nan;
+  EXPECT_THROW(fleet::FleetEngine(alexnet_plan(), config), std::invalid_argument);
 }
 
 // Frozen-reference oracle for the retired pinned-backhaul K-tier shortcut:

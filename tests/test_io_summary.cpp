@@ -1,71 +1,14 @@
-// Tests for trace persistence/statistics and architecture summaries.
+// Tests for architecture summaries.
 
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "comm/trace_io.hpp"
 #include "dnn/presets.hpp"
-#include "io/io.hpp"
 #include "dnn/summary.hpp"
 
 namespace lens {
 namespace {
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-TEST(Percentile, KnownValues) {
-  comm::ThroughputTrace trace;
-  trace.samples_mbps = {4.0, 1.0, 3.0, 2.0, 5.0};
-  EXPECT_DOUBLE_EQ(comm::percentile_mbps(trace, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(comm::percentile_mbps(trace, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(comm::percentile_mbps(trace, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(comm::percentile_mbps(trace, 25.0), 2.0);
-  EXPECT_DOUBLE_EQ(comm::percentile_mbps(trace, 12.5), 1.5);  // interpolated
-}
-
-TEST(Percentile, Validation) {
-  comm::ThroughputTrace empty;
-  EXPECT_THROW(comm::percentile_mbps(empty, 50.0), std::invalid_argument);
-  comm::ThroughputTrace one;
-  one.samples_mbps = {1.0};
-  EXPECT_THROW(comm::percentile_mbps(one, -1.0), std::invalid_argument);
-  EXPECT_THROW(comm::percentile_mbps(one, 101.0), std::invalid_argument);
-}
-
-TEST(TraceCsv, RoundTrip) {
-  comm::TraceGenerator generator({.mean_mbps = 7.0, .seed = 3});
-  const comm::ThroughputTrace original = generator.generate(25, 120.0);
-  const std::string path = temp_path("trace_roundtrip.csv");
-  comm::save_trace_csv(original, path);
-  const comm::ThroughputTrace loaded = comm::load_trace_csv(path);
-  ASSERT_EQ(loaded.size(), original.size());
-  EXPECT_DOUBLE_EQ(loaded.interval_s, 120.0);
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_NEAR(loaded.samples_mbps[i], original.samples_mbps[i], 1e-4);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceCsv, LoadRejectsGarbage) {
-  const std::string path = temp_path("trace_bad.csv");
-  // No integrity footer: rejected by the checksum gate before parsing.
-  {
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace\n", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(comm::load_trace_csv(path), std::runtime_error);
-  // Valid footer but garbage payload: rejected by the parser.
-  io::atomic_write_checked(path, [](std::ostream& out) { out << "not a trace\n"; });
-  EXPECT_THROW(comm::load_trace_csv(path), std::invalid_argument);
-  EXPECT_THROW(comm::load_trace_csv(temp_path("does_not_exist.csv")), std::runtime_error);
-  std::remove(path.c_str());
-}
 
 TEST(Summary, ContainsStructureAndTotals) {
   const dnn::Architecture alexnet = dnn::alexnet();

@@ -1,21 +1,13 @@
-// Tests for switching-table persistence, network weight checkpoints, and
-// the trace generator's outage overlay.
+// Tests for switching-table persistence and the trace generator's outage
+// overlay.
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
-#include <random>
 
 #include <gtest/gtest.h>
 
 #include "comm/trace.hpp"
 #include "io/io.hpp"
-#include "nn/checkpoint.hpp"
-#include "nn/conv.hpp"
-#include "nn/dataset.hpp"
-#include "nn/dense.hpp"
-#include "nn/pool.hpp"
-#include "nn/activation.hpp"
 #include "runtime/threshold_io.hpp"
 
 namespace lens {
@@ -86,56 +78,6 @@ TEST(SwitchingTable, LoadRejectsBadFiles) {
   });
   // option_index 5 out of range for 1 label.
   EXPECT_THROW(runtime::load_switching_table(path), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-// ---- network weight checkpoints ----------------------------------------------
-
-nn::Sequential small_network(unsigned seed) {
-  std::mt19937_64 rng(seed);
-  nn::Sequential net;
-  net.add(std::make_unique<nn::Conv2D>(3, 6, 3, 1, 1, rng));
-  net.add(std::make_unique<nn::ReLU>());
-  net.add(std::make_unique<nn::MaxPool2D>(2, 2));
-  net.add(std::make_unique<nn::Dense>(8 * 8 * 6, 10, rng));
-  return net;
-}
-
-TEST(Checkpoint, RoundTripPreservesOutputs) {
-  nn::Sequential trained = small_network(1);
-  // Nudge the weights so they differ from any fresh initialization.
-  for (nn::ParamTensor* p : trained.parameters()) {
-    for (float& v : p->value) v += 0.25f;
-  }
-  const std::string path = temp_path("weights.txt");
-  nn::save_weights(trained, path);
-
-  nn::Sequential restored = small_network(999);  // different init
-  nn::load_weights(restored, path);
-
-  nn::Tensor input(2, 16, 16, 3);
-  std::mt19937_64 rng(7);
-  std::normal_distribution<float> gauss(0.0f, 1.0f);
-  for (float& v : input.storage()) v = gauss(rng);
-  const nn::Tensor a = trained.forward(input, false);
-  const nn::Tensor b = restored.forward(input, false);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.storage()[i], b.storage()[i], 1e-4f);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsMismatchedArchitecture) {
-  nn::Sequential net = small_network(1);
-  const std::string path = temp_path("weights_mismatch.txt");
-  nn::save_weights(net, path);
-
-  std::mt19937_64 rng(2);
-  nn::Sequential different;
-  different.add(std::make_unique<nn::Dense>(10, 4, rng));
-  EXPECT_THROW(nn::load_weights(different, path), std::invalid_argument);
-  EXPECT_THROW(nn::load_weights(net, "/nonexistent/w.txt"), std::runtime_error);
   std::remove(path.c_str());
 }
 

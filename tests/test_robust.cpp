@@ -68,8 +68,7 @@ TEST_F(RobustEvalTest, OracleNeverWorseThanFixed) {
   const RobustEvaluation result = robust.evaluate(alexnet_);
   EXPECT_LE(result.latency.expected_oracle, result.latency.expected_fixed_best + 1e-9);
   EXPECT_LE(result.energy.expected_oracle, result.energy.expected_fixed_best + 1e-9);
-  EXPECT_GE(result.latency.switching_headroom(), 0.0);
-  EXPECT_LT(result.latency.switching_headroom(), 1.0);
+  EXPECT_GT(result.latency.expected_oracle, 0.0);
 }
 
 TEST_F(RobustEvalTest, DegenerateDistributionMatchesPointEvaluation) {
@@ -90,8 +89,13 @@ TEST_F(RobustEvalTest, WiderDistributionsIncreaseHeadroom) {
       evaluator_, ThroughputDistribution::log_normal(8.0, 0.05, 15));
   const RobustDeploymentEvaluator wide(
       evaluator_, ThroughputDistribution::log_normal(8.0, 1.2, 15));
-  const double narrow_headroom = narrow.evaluate(alexnet_).energy.switching_headroom();
-  const double wide_headroom = wide.evaluate(alexnet_).energy.switching_headroom();
+  // Adaptation headroom: the share of the fixed-best cost that per-sample
+  // switching saves.
+  const auto headroom = [](const RobustMetric& m) {
+    return (m.expected_fixed_best - m.expected_oracle) / m.expected_fixed_best;
+  };
+  const double narrow_headroom = headroom(narrow.evaluate(alexnet_).energy);
+  const double wide_headroom = headroom(wide.evaluate(alexnet_).energy);
   EXPECT_GE(wide_headroom, narrow_headroom);
 }
 

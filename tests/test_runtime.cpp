@@ -339,14 +339,14 @@ TEST_F(DeployerTest, HysteresisBoundsFlappingOnOutageTraces) {
 
 TEST_F(DeployerTest, CloudUnreachableForcesCheapestEdgeOnly) {
   const DynamicDeployer deployer(options_, comm_, OptimizeFor::kEnergy);
-  ASSERT_TRUE(deployer.cheapest_edge_only().has_value());
-  EXPECT_EQ(*deployer.cheapest_edge_only(), 2u);  // the All-Edge option
-  EXPECT_EQ(deployer.select_cloud_unreachable(), 2u);
+  const std::optional<std::size_t> edge =
+      cheapest_edge_only(deployer.options(), deployer.curves());
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(*edge, 2u);  // the All-Edge option
   // An option set with no edge-only member cannot degrade gracefully.
   const std::vector<core::DeploymentOption> cloud_only = {options_[0], options_[1]};
   const DynamicDeployer stuck(cloud_only, comm_, OptimizeFor::kEnergy);
-  EXPECT_FALSE(stuck.cheapest_edge_only().has_value());
-  EXPECT_THROW(stuck.select_cloud_unreachable(), std::logic_error);
+  EXPECT_FALSE(cheapest_edge_only(stuck.options(), stuck.curves()).has_value());
 }
 
 // End-to-end runtime scenario on the real AlexNet options: the paper's

@@ -502,8 +502,6 @@ TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {
   EXPECT_DOUBLE_EQ(faults.link_factor(3.0), 1.0);  // half-open interval
   EXPECT_FALSE(faults.cloud_unavailable(1.9));
   EXPECT_TRUE(faults.cloud_unavailable(2.0));
-  EXPECT_DOUBLE_EQ(faults.cloud_recovery_time(3.0), 4.0);
-  EXPECT_DOUBLE_EQ(faults.cloud_recovery_time(5.0), 5.0);
   EXPECT_DOUBLE_EQ(faults.rtt_extra_ms(11.0), 150.0);
   EXPECT_DOUBLE_EQ(faults.rtt_extra_ms(12.5), 0.0);
   EXPECT_DOUBLE_EQ(faults.edge_slowdown(20.5), 2.5);
@@ -584,19 +582,6 @@ struct ScanOracle {
     }
     return next;
   }
-  /// Fixpoint of "jump to the end of any cloud outage covering t".
-  double cloud_recovery_time(double t) const {
-    for (bool moved = true; moved;) {
-      moved = false;
-      for (const FaultEpisode& e : episodes) {
-        if (e.fault == FaultClass::kCloudOutage && e.covers(t)) {
-          t = e.end_s;
-          moved = true;
-        }
-      }
-    }
-    return t;
-  }
 };
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
@@ -671,7 +656,6 @@ TEST(FaultInjector, StepTablesMatchBruteForceScan) {
     }
     for (double t : times) {
       EXPECT_EQ(injector.cloud_unavailable(t), oracle.cloud_unavailable(t)) << t;
-      EXPECT_EQ(bits(injector.cloud_recovery_time(t)), bits(oracle.cloud_recovery_time(t))) << t;
       EXPECT_EQ(bits(injector.edge_slowdown(t)), bits(oracle.edge_slowdown(t))) << t;
       EXPECT_EQ(bits(injector.machine_failure_fraction(t)),
                 bits(oracle.machine_failure_fraction(t)))

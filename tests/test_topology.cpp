@@ -165,16 +165,15 @@ TEST_F(TopologyTest, VectorFormsDelegateToScalarAtTwoTiers) {
   const DeploymentEvaluator evaluator(edge_, lte_);
   const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
   for (double tu : tu_sweep()) {
-    const std::vector<double> vec{tu};
     const PricedObjectives scalar = plan.objectives_at(tu);
-    const PricedObjectives vector = plan.objectives_at(vec);
-    EXPECT_EQ(vector.best_latency_ms, scalar.best_latency_ms);
-    EXPECT_EQ(vector.best_energy_mj, scalar.best_energy_mj);
+    const DeploymentEvaluation vector = plan.price(std::vector<double>{tu});
+    EXPECT_EQ(vector.best_latency_ms(), scalar.best_latency_ms);
+    EXPECT_EQ(vector.best_energy_mj(), scalar.best_energy_mj);
     EXPECT_EQ(vector.best_latency_option, scalar.best_latency_option);
     EXPECT_EQ(vector.best_energy_option, scalar.best_energy_option);
     for (std::size_t i = 0; i < plan.num_options(); ++i) {
-      EXPECT_EQ(plan.option_latency_ms(i, vec), plan.option_latency_ms(i, tu));
-      EXPECT_EQ(plan.option_energy_mj(i, vec), plan.option_energy_mj(i, tu));
+      EXPECT_EQ(vector.options[i].latency_ms, plan.option_latency_ms(i, tu));
+      EXPECT_EQ(vector.options[i].energy_mj, plan.option_energy_mj(i, tu));
     }
   }
   // At K=2 the surfaces carry the 1-D curve coefficients verbatim.
@@ -308,10 +307,11 @@ TEST_F(TopologyTest, ThreeTierPlanShape) {
   EXPECT_NO_THROW(eval.all_cloud());
   EXPECT_TRUE(eval.has_all_edge());
   for (std::size_t i = 0; i < plan.num_options(); ++i) {
-    EXPECT_NEAR(plan.option_latency_ms(i, tu), plan.latency_surfaces()[i].value(tu),
-                1e-9 * std::max(1.0, plan.option_latency_ms(i, tu)));
-    EXPECT_NEAR(plan.option_energy_mj(i, tu), plan.energy_surfaces()[i].value(tu),
-                1e-9 * std::max(1.0, plan.option_energy_mj(i, tu)));
+    const DeploymentOption& o = eval.options[i];
+    EXPECT_NEAR(o.latency_ms, plan.latency_surfaces()[i].value(tu),
+                1e-9 * std::max(1.0, o.latency_ms));
+    EXPECT_NEAR(o.energy_mj, plan.energy_surfaces()[i].value(tu),
+                1e-9 * std::max(1.0, o.energy_mj));
   }
 }
 
@@ -409,10 +409,10 @@ TEST_F(TopologyTest, DominancePruneNeverDropsAParetoOptimalCut) {
         ref_lat = std::min(ref_lat, s.latency(t0, t1));
         ref_en = std::min(ref_en, s.energy(t0));
       }
-      const PricedObjectives got = plan.objectives_at({t0, t1});
-      EXPECT_NEAR(got.best_latency_ms, ref_lat, 1e-9 * std::max(1.0, ref_lat))
+      const DeploymentEvaluation got = plan.price(std::vector<double>{t0, t1});
+      EXPECT_NEAR(got.best_latency_ms(), ref_lat, 1e-9 * std::max(1.0, ref_lat))
           << "trial " << trial << " t0=" << t0 << " t1=" << t1;
-      EXPECT_NEAR(got.best_energy_mj, ref_en, 1e-9 * std::max(1.0, ref_en))
+      EXPECT_NEAR(got.best_energy_mj(), ref_en, 1e-9 * std::max(1.0, ref_en))
           << "trial " << trial << " t0=" << t0 << " t1=" << t1;
     }
   }
@@ -432,91 +432,39 @@ TEST_F(TopologyTest, MultiTierErrorPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-hop threshold machinery and the switching surface.
+// Collapsing K-tier surfaces onto the radio axis.
 // ---------------------------------------------------------------------------
 
-TEST_F(TopologyTest, CollapsedCurvesAndPerHopCrossovers) {
+TEST_F(TopologyTest, CollapsedCurvesMatchSurfaces) {
   const DeploymentEvaluator evaluator(three_tier());
   const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
   const std::vector<double> pinned{1.0, 50.0};
-  const std::vector<comm::CostCurve> collapsed =
-      runtime::collapse_curves(plan.latency_surfaces(), 0, pinned);
+  const std::vector<comm::CostCurve> collapsed = plan.collapsed_latency_curves(0, pinned);
   ASSERT_EQ(collapsed.size(), plan.num_options());
+  std::vector<comm::CostCurve> into;
+  plan.collapse_latency_curves_into(0, pinned, into);
+  ASSERT_EQ(into.size(), plan.num_options());
   for (std::size_t i = 0; i < plan.num_options(); ++i) {
     const comm::CostCurve direct = plan.latency_surfaces()[i].collapse(0, pinned);
     EXPECT_EQ(collapsed[i].constant, direct.constant);
     EXPECT_EQ(collapsed[i].per_inverse_tu, direct.per_inverse_tu);
-  }
-  // crossover_tu_hop == crossover_tu of the collapsed pair.
-  for (std::size_t i = 0; i + 1 < plan.num_options(); ++i) {
-    const auto via_hop = runtime::crossover_tu_hop(
-        plan.latency_surfaces()[i], plan.latency_surfaces()[i + 1], 0, pinned);
-    const auto via_collapse = runtime::crossover_tu(collapsed[i], collapsed[i + 1]);
-    ASSERT_EQ(via_hop.has_value(), via_collapse.has_value()) << "pair " << i;
-    if (via_hop) {
-      EXPECT_DOUBLE_EQ(*via_hop, *via_collapse) << "pair " << i;
-    }
+    EXPECT_EQ(into[i].constant, direct.constant);
+    EXPECT_EQ(into[i].per_inverse_tu, direct.per_inverse_tu);
   }
 }
 
-TEST_F(TopologyTest, SwitchingSurfaceSelectsCheapestOption) {
-  const DeploymentEvaluator evaluator(three_tier());
-  const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
-  const auto& surfaces = plan.latency_surfaces();
-  const runtime::SwitchingSurface surface =
-      runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 6);
-  ASSERT_EQ(surface.backhaul_tus_mbps.size(), 6u);
-  ASSERT_EQ(surface.rows.size(), 6u);
-
-  const double probes[] = {0.07, 0.5, 3.0, 20.0, 150.0, 480.0};
-  for (double t1 : surface.backhaul_tus_mbps) {
-    const std::vector<double> pinned{1.0, t1};
-    for (double t0 : probes) {
-      const std::size_t chosen = surface.select(t0, t1);
-      ASSERT_LT(chosen, surfaces.size());
-      const double chosen_cost = surfaces[chosen].collapse(0, pinned).value(t0);
-      double best_cost = chosen_cost;
-      for (const comm::MultiHopCurve& s : surfaces) {
-        best_cost = std::min(best_cost, s.collapse(0, pinned).value(t0));
-      }
-      EXPECT_LE(chosen_cost, best_cost + 1e-9 * std::max(1.0, best_cost))
-          << "t0=" << t0 << " t1=" << t1;
-    }
-  }
-}
-
-TEST_F(TopologyTest, SwitchingSurfaceValidation) {
-  const DeploymentEvaluator two_tier(edge_, wifi_);
-  const DeploymentPlan plan = two_tier.compile(dnn::alexnet());
-  // One-hop surfaces have no backhaul axis to condition on.
-  EXPECT_THROW(runtime::switching_surface(plan.latency_surfaces(), 0.05, 500.0, 1.0,
-                                          400.0, 6),
-               std::invalid_argument);
-  EXPECT_THROW(runtime::switching_surface({}, 0.05, 500.0, 1.0, 400.0, 6),
-               std::invalid_argument);
-  const DeploymentEvaluator three(three_tier());
-  const DeploymentPlan three_plan = three.compile(dnn::alexnet());
-  const auto& surfaces = three_plan.latency_surfaces();
-  EXPECT_THROW(runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 1),
-               std::invalid_argument);
-  EXPECT_THROW(runtime::switching_surface(surfaces, 5.0, 5.0, 1.0, 400.0, 6),
-               std::invalid_argument);
-}
-
-TEST_F(TopologyTest, TierLadderFallback) {
+TEST_F(TopologyTest, EdgeOnlyFallbackOnKTierPlan) {
   const DeploymentEvaluator evaluator(three_tier());
   const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
   const runtime::DynamicDeployer deployer(plan, runtime::OptimizeFor::kLatency,
                                           {3.0, 40.0});
-  ASSERT_TRUE(deployer.cheapest_edge_only().has_value());
-  // Rung 0 of the ladder is exactly the edge-only query.
-  EXPECT_EQ(deployer.cheapest_confined(0), deployer.cheapest_edge_only());
-  EXPECT_EQ(deployer.select_hop_unreachable(0), deployer.select_cloud_unreachable());
-  EXPECT_EQ(deployer.options()[deployer.select_hop_unreachable(0)].tx_bytes, 0u);
-  // With the backhaul down, the selection must not use hop 1.
-  const std::size_t confined = deployer.select_hop_unreachable(1);
-  ASSERT_EQ(deployer.options()[confined].hop_tx_bytes.size(), 2u);
-  EXPECT_EQ(deployer.options()[confined].hop_tx_bytes[1], 0u);
+  const std::optional<std::size_t> edge =
+      runtime::cheapest_edge_only(deployer.options(), deployer.curves());
+  ASSERT_TRUE(edge.has_value());
+  // The fallback ships nothing over any hop.
+  const core::DeploymentOption& o = deployer.options()[*edge];
+  EXPECT_EQ(o.tx_bytes, 0u);
+  for (std::uint64_t bytes : o.hop_tx_bytes) EXPECT_EQ(bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
